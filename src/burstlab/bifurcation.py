@@ -8,6 +8,10 @@ as simultaneous roots of (G, dG/dv); this is the determinant form of the
 extended fold system. Hopf points are roots in Ca of the real part of the
 complex eigenvalue pair at the depolarized equilibrium.
 
+Roots of G are bracketed by its sign changes on a fixed voltage grid, which
+the model evaluates in one numpy pass (g_array); Newton on the full rhs,
+the eigenvalues and the fold and Hopf solvers stay scalar.
+
 The computed fold curve is labeled SNIC; the invariant-cycle property is
 checked separately by period divergence (verify_snic) rather than by
 homoclinic continuation.
@@ -24,10 +28,9 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# voltage window for root scanning; the hyperpolarized equilibrium can sit
+# voltage grid for root scanning; the hyperpolarized equilibrium can sit
 # below -80 mV at low Ca, so this is wider than the Newton seed grid
-_V_SCAN = (-110.0, 30.0)
-_V_SCAN_N = 281
+_V_GRID = np.linspace(-110.0, 30.0, 281)
 
 DEFAULT_NA_RANGE = (4.8, 6.4)
 DEFAULT_CA_WINDOW = (-0.2, 1.6)
@@ -141,10 +144,9 @@ def find_equilibria(fast, slow, v_seeds=None, merge_tol: float = 1e-6):
     return out
 
 
-def _root_brackets(fast, slow, n: int = _V_SCAN_N):
-    vs = np.linspace(_V_SCAN[0], _V_SCAN[1], n)
-    g = np.array([_scalar_g(fast, v, slow) for v in vs])
-    sgn = np.sign(g)
+def _root_brackets(fast, slow):
+    vs = _V_GRID
+    sgn = np.sign(fast.g_array(vs, slow))
     idx = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0]
     return [(vs[i], vs[i + 1]) for i in idx]
 
@@ -179,41 +181,6 @@ def hopf_test(fast, slow) -> Optional[float]:
     if not pairs:
         return None
     return max(z.real for z in pairs)
-
-
-def fold_equilibrium(fast, slow) -> Optional[Equilibrium]:
-    """The degenerate (double-root) equilibrium at a fold point.
-
-    Newton on the full rhs cannot converge there (the Jacobian is singular),
-    so the fold voltage is located as the simple root of dG/dv instead.
-    """
-    vs = np.linspace(_V_SCAN[0], _V_SCAN[1], _V_SCAN_N)
-    gv = [_scalar_g_dv(fast, v, slow) for v in vs]
-    candidates = []
-    for i in range(len(vs) - 1):
-        if gv[i] == 0.0 or gv[i] * gv[i + 1] < 0:
-            lo, hi = vs[i], vs[i + 1]
-            glo = gv[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                gm = _scalar_g_dv(fast, mid, slow)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if (gm > 0) == (glo > 0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            v = 0.5 * (lo + hi)
-            candidates.append((abs(_scalar_g(fast, v, slow)), v))
-    if not candidates:
-        return None
-    res_g, v = min(candidates)
-    state = fast.slaved(v)
-    ev = eigen(fast, state, slow)
-    return Equilibrium(state=state, slow=tuple(slow), eigenvalues=ev,
-                       stable=max(z.real for z in ev) < 0.0, branch=-1,
-                       residual=res_g)
 
 
 @dataclass

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bifurcation
 from .integrate import detect_events, integrate
-from .model import FullFast, ReducedFast
 
 PERIOD = "PERIOD"
 RE_LAMBDA = "RE_LAMBDA"
@@ -181,8 +180,7 @@ def relambda(fast, slow) -> Optional[float]:
 
 
 def _eval_node(args):
-    kind, which, params, ca, na, opts = args
-    fast = ReducedFast(params) if which == "reduced" else FullFast(params)
+    kind, fast, ca, na, opts = args
     if kind == PERIOD:
         return orbit_period(fast, (ca, na), **opts)
     return relambda(fast, (ca, na))
@@ -193,8 +191,9 @@ def build_field(kind: str, grid: GridSpec, fast, workers: Optional[int] = None,
     """Evaluate a field on every grid node.
 
     Node evaluations are independent; with workers > 1 they run in a process
-    pool. Assembly order is fixed by node index, so the result does not
-    depend on scheduling. Per-node failures are recorded as undefined.
+    pool, which receives the model object pickled. Assembly order is fixed
+    by node index, so the result does not depend on scheduling. Per-node
+    failures are recorded as undefined.
     """
     if kind not in (PERIOD, RE_LAMBDA):
         raise ValueError(f"unknown field kind {kind!r}")
@@ -202,7 +201,7 @@ def build_field(kind: str, grid: GridSpec, fast, workers: Optional[int] = None,
         workers = sweep_workers()
     cas = grid.ca_axis()
     nas = grid.na_axis()
-    tasks = [(kind, fast.name, fast.params, float(ca), float(na), opts)
+    tasks = [(kind, fast, float(ca), float(na), opts)
              for ca in cas for na in nas]
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))

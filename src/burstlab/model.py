@@ -15,6 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import expit
+
 from .params import ModelParams, InvalidParameterError
 
 
@@ -28,6 +31,11 @@ def _sig(x: float) -> float:
     if x < -700.0:
         return 1.0
     return 1.0 / (1.0 + math.exp(x))
+
+
+def _sig_array(x):
+    # _sig on numpy arrays
+    return expit(-x)
 
 
 def gate_inf(v: float, theta: float, sigma: float) -> float:
@@ -219,6 +227,16 @@ class ReducedFast:
         p = self.params
         return (v, gate_inf(v, p.theta_n, p.sigma_n))
 
+    def g_array(self, vs, slow):
+        """v' at the gate-slaved states of a voltage array, (Ca, Na) frozen.
+
+        The equilibrium scan calls this instead of rhs, so a subclass that
+        changes the rhs must change this too.
+        """
+        p = self.params
+        rhs = make_fast4_rhs(p, slow[0], slow[1], sig=_sig_array, cosh=np.cosh)
+        return rhs(0.0, (vs, _sig_array((vs - p.theta_n) / p.sigma_n)))[0]
+
     def frozen_rhs(self, slow):
         return make_fast4_rhs(self.params, slow[0], slow[1])
 
@@ -252,6 +270,19 @@ class FullFast:
                 gate_inf(v, p.theta_h, p.sigma_h),
                 s_slaved(v, p))
 
+    def g_array(self, vs, slow):
+        """v' at the gate-slaved states of a voltage array, (Ca, Na) frozen.
+
+        The equilibrium scan calls this instead of rhs, so a subclass that
+        changes the rhs must change this too.
+        """
+        p = self.params
+        n, m, h, si = (_sig_array((vs - theta) / sigma) for theta, sigma in (
+            (p.theta_n, p.sigma_n), (p.theta_m, p.sigma_m),
+            (p.theta_h, p.sigma_h), (p.theta_s, p.sigma_s)))
+        rhs = make_fast7_rhs(p, slow[0], slow[1], sig=_sig_array, cosh=np.cosh)
+        return rhs(0.0, (vs, n, m, h, si / (si + p.k)))[0]
+
     def frozen_rhs(self, slow):
         return make_fast7_rhs(self.params, slow[0], slow[1])
 
@@ -266,9 +297,11 @@ class FullFast:
 # Specialized closures for the integrator hot loop. These inline the same
 # formulas as the rhs_* functions above with parameters captured as locals;
 # the generic functions remain the reference implementation and the tests
-# assert both paths agree.
+# assert both paths agree. The frozen closures take the sigmoid and cosh as
+# arguments, so that with _sig_array and np.cosh they act on numpy arrays.
 
-def make_fast4_rhs(p: ModelParams, ca: float, na: float):
+def make_fast4_rhs(p: ModelParams, ca: float, na: float, sig=_sig,
+                   cosh=math.cosh):
     g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
         p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
     inv_c = 1.0 / p.c
@@ -280,8 +313,6 @@ def make_fast4_rhs(p: ModelParams, ca: float, na: float):
     a_can = p.g_can * can_activation(ca, p)
     e_can = p.e_can
     i_pump = p.r_pump * (phi(na, p.k_na) - phi(p.na_b, p.k_na))
-    sig = _sig
-    cosh = math.cosh
 
     def rhs(t, y):
         v, n = y
@@ -301,7 +332,8 @@ def make_fast4_rhs(p: ModelParams, ca: float, na: float):
     return rhs
 
 
-def make_fast7_rhs(p: ModelParams, ca: float, na: float):
+def make_fast7_rhs(p: ModelParams, ca: float, na: float, sig=_sig,
+                   cosh=math.cosh):
     g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
         p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
     inv_c = 1.0 / p.c
@@ -313,8 +345,6 @@ def make_fast7_rhs(p: ModelParams, ca: float, na: float):
     a_can = p.g_can * can_activation(ca, p)
     e_can = p.e_can
     i_pump = p.r_pump * (phi(na, p.k_na) - phi(p.na_b, p.k_na))
-    sig = _sig
-    cosh = math.cosh
 
     def rhs(t, y):
         v, n, m, h, s = y

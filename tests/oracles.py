@@ -4,26 +4,95 @@ These deliberately avoid the production algorithms: fold locations come
 from bisection on the equilibrium count, Hopf locations from a sign scan of
 the eigenvalue real part, and contour points from one-dimensional bisection
 along a fixed-Na ray. Scans run at 1e-4 steps inside a coarse bracket.
+Equilibria are bracketed by a scalar scan, one rhs call per grid voltage,
+rather than by the models' array form of G.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from burstlab.bifurcation import equilibrium_count, hopf_test
+from burstlab.bifurcation import (_V_GRID, Equilibrium, eigen,
+                                  newton_equilibrium)
+
+
+def _g(fast, v, slow):
+    # v' at the gate-slaved state
+    return fast.rhs(fast.slaved(v), slow)[0]
+
+
+def _g_dv(fast, v, slow, step=1e-6):
+    return (_g(fast, v + step, slow) - _g(fast, v - step, slow)) / (2.0 * step)
+
+
+def scalar_root_brackets(fast, slow):
+    """Voltage brackets of the sign changes of G over the scan grid."""
+    g = np.array([_g(fast, v, slow) for v in _V_GRID])
+    sgn = np.sign(g)
+    idx = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0]
+    return [(_V_GRID[i], _V_GRID[i + 1]) for i in idx]
+
+
+def scalar_relambda(fast, slow):
+    """Re of the complex pair at the depolarized equilibrium, or None."""
+    brackets = scalar_root_brackets(fast, slow)
+    if not brackets:
+        return None
+    lo, hi = brackets[-1]
+    y = newton_equilibrium(fast, 0.5 * (lo + hi), slow)
+    if y is None or not (lo - 1.0 <= y[0] <= hi + 1.0):
+        return None
+    pairs = [z.real for z in eigen(fast, y, slow) if abs(z.imag) > 1e-9]
+    return max(pairs) if pairs else None
+
+
+def fold_equilibrium(fast, slow):
+    """The degenerate (double-root) equilibrium at a fold point.
+
+    Newton on the full rhs cannot converge there (the Jacobian is singular),
+    so the fold voltage is located as the simple root of dG/dv instead.
+    """
+    vs = _V_GRID
+    gv = [_g_dv(fast, v, slow) for v in vs]
+    candidates = []
+    for i in range(len(vs) - 1):
+        if gv[i] == 0.0 or gv[i] * gv[i + 1] < 0:
+            lo, hi = vs[i], vs[i + 1]
+            glo = gv[i]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                gm = _g_dv(fast, mid, slow)
+                if gm == 0.0:
+                    lo = hi = mid
+                    break
+                if (gm > 0) == (glo > 0):
+                    lo, glo = mid, gm
+                else:
+                    hi = mid
+            v = 0.5 * (lo + hi)
+            candidates.append((abs(_g(fast, v, slow)), v))
+    if not candidates:
+        return None
+    res_g, v = min(candidates)
+    state = fast.slaved(v)
+    ev = eigen(fast, state, slow)
+    return Equilibrium(state=state, slow=tuple(slow), eigenvalues=ev,
+                       stable=max(z.real for z in ev) < 0.0, branch=-1,
+                       residual=res_g)
 
 
 def fold_ca_oracle(fast, na, ca_window=(-0.2, 1.6), fine_step=1e-4):
     """Ca of the 3 -> 1 equilibrium-count change, scanned at fine_step."""
+    count = lambda ca: len(scalar_root_brackets(fast, (ca, na)))
     lo, hi = ca_window
     grid = np.arange(lo, hi, 0.01)
-    counts = [equilibrium_count(fast, (ca, na)) for ca in grid]
+    counts = [count(ca) for ca in grid]
     for i in range(len(grid) - 1):
         if counts[i] >= 3 and counts[i + 1] < 3:
             a, b = grid[i], grid[i + 1]
             fine = np.arange(a, b + fine_step, fine_step)
             prev = a
             for ca in fine:
-                if equilibrium_count(fast, (ca, na)) < 3:
+                if count(ca) < 3:
                     return 0.5 * (prev + ca)
                 prev = ca
     return None
@@ -34,7 +103,7 @@ def hopf_ca_oracle(fast, na, ca_window=(0.0, 1.6), fine_step=1e-4):
     grid = np.arange(ca_window[0], ca_window[1], 0.01)
     prev = None
     for ca in grid:
-        r = hopf_test(fast, (ca, na))
+        r = scalar_relambda(fast, (ca, na))
         if r is None:
             prev = None
             continue
@@ -42,7 +111,7 @@ def hopf_ca_oracle(fast, na, ca_window=(0.0, 1.6), fine_step=1e-4):
             fine = np.arange(prev[0], ca + fine_step, fine_step)
             last = prev[0]
             for cf in fine:
-                rf = hopf_test(fast, (cf, na))
+                rf = scalar_relambda(fast, (cf, na))
                 if rf is None or rf <= 0:
                     return 0.5 * (last + cf)
                 last = cf
@@ -54,13 +123,13 @@ def relambda_level_ca_oracle(fast, na, level, ca_start, ca_stop,
                              tol=1e-6):
     """Ca where Re(lambda) crosses a level, by bisection along fixed Na."""
     lo, hi = ca_start, ca_stop
-    r_lo = hopf_test(fast, (lo, na))
-    r_hi = hopf_test(fast, (hi, na))
+    r_lo = scalar_relambda(fast, (lo, na))
+    r_hi = scalar_relambda(fast, (hi, na))
     if r_lo is None or r_hi is None or (r_lo - level) * (r_hi - level) > 0:
         return None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        r = hopf_test(fast, (mid, na))
+        r = scalar_relambda(fast, (mid, na))
         if r is None:
             return None
         if (r - level) * (r_lo - level) > 0:

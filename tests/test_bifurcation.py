@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from burstlab.bifurcation import (BifCurve, eigen, equilibrium_count,
-                                  find_equilibria, fold_equilibrium,
+from burstlab.bifurcation import (DEFAULT_CA_WINDOW, DEFAULT_NA_RANGE,
+                                  _V_GRID, BifCurve, _root_brackets, eigen,
+                                  equilibrium_count, find_equilibria,
                                   hopf_test, read_curves, verify_snic,
                                   write_curves)
+from burstlab.model import ReducedFast
 
-from oracles import fold_ca_oracle, hopf_ca_oracle
+from oracles import (fold_ca_oracle, fold_equilibrium, hopf_ca_oracle,
+                     scalar_root_brackets)
 
 
 def test_three_equilibria_left_of_snic(reduced, curves2):
@@ -121,6 +124,37 @@ def test_equilibrium_count_partition(reduced, curves2):
         assert count == (3 if offset < 0 else 1), (ca, na, count)
         checked += 1
     assert checked > 120
+
+
+def _slow_samples(seed, n=300):
+    rng = np.random.default_rng(seed)
+    return zip(rng.uniform(*DEFAULT_CA_WINDOW, size=n),
+               rng.uniform(*DEFAULT_NA_RANGE, size=n))
+
+
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_array_scan_matches_scalar_scan(model, request):
+    fast = request.getfixturevalue(model)
+    for slow in _slow_samples(17):
+        g = fast.g_array(_V_GRID, slow)
+        ref = np.array([fast.rhs(fast.slaved(v), slow)[0] for v in _V_GRID])
+        assert np.all(np.abs(g - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+        assert _root_brackets(fast, slow) == scalar_root_brackets(fast, slow)
+
+
+def test_equilibrium_count_on_subclass_overriding_rhs(reduced):
+    class Sub(ReducedFast):
+        def rhs(self, y, slow):
+            return super().rhs(y, slow)
+
+    sub = Sub(reduced.params)
+    counts = set()
+    for slow in _slow_samples(23):
+        count = equilibrium_count(sub, slow)
+        assert count == equilibrium_count(reduced, slow)
+        assert count == len(scalar_root_brackets(sub, slow))
+        counts.add(count)
+    assert counts == {1, 3}
 
 
 def test_fold_against_bisection_oracle(reduced, curves2):

@@ -150,6 +150,23 @@ def test_build_field_constant_stub(reduced, monkeypatch):
     assert (field.values == 12.5).all()
 
 
+def test_build_field_uses_the_model_it_is_given(reduced):
+    class Counting(type(reduced)):
+        calls = 0
+
+        def frozen_rhs(self, slow):
+            rhs = super().frozen_rhs(slow)
+
+            def counted(t, y):
+                Counting.calls += 1
+                return rhs(t, y)
+            return counted
+
+    grid = GridSpec(0.1, 0.3, 5.0, 5.4, 2, 2)
+    build_field(PERIOD, grid, Counting(reduced.params), workers=1)
+    assert Counting.calls > 0
+
+
 def test_build_field_rejects_unknown_kind(reduced):
     with pytest.raises(ValueError):
         build_field("BOGUS", GridSpec(0, 1, 5, 6, 2, 2), reduced)
