@@ -1,10 +1,9 @@
 """Fast-slow bursting models, bifurcation landscapes and burst-feature fitting."""
 
 from .params import ModelParams, FULL7D, REDUCED4D, InvalidParameterError
-from .paths import EllipsePath, ellipse_point, ellipse_rhs, path_extent
-from .model import (ReducedFast, FullFast, gate_inf, gate_tau, currents,
-                    rhs_fast7, rhs_slow7, rhs_fast4)
-from .integrate import (integrate, detect_events, rk4, Trajectory,
+from .paths import EllipsePath
+from .model import ReducedFast, FullFast, gate_inf, gate_tau
+from .integrate import (integrate, detect_events, Trajectory,
                         EventRecord, StepSizeError)
 from .bifurcation import (Equilibrium, BifCurve, find_equilibria, eigen,
                           trace_fold_curve, trace_hopf_curve, verify_snic,
@@ -22,10 +21,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams", "FULL7D", "REDUCED4D", "InvalidParameterError",
-    "EllipsePath", "ellipse_point", "ellipse_rhs", "path_extent",
-    "ReducedFast", "FullFast", "gate_inf", "gate_tau", "currents",
-    "rhs_fast7", "rhs_slow7", "rhs_fast4",
-    "integrate", "detect_events", "rk4", "Trajectory", "EventRecord",
+    "EllipsePath",
+    "ReducedFast", "FullFast", "gate_inf", "gate_tau",
+    "integrate", "detect_events", "Trajectory", "EventRecord",
     "StepSizeError",
     "Equilibrium", "BifCurve", "find_equilibria", "eigen",
     "trace_fold_curve", "trace_hopf_curve", "verify_snic",

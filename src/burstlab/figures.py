@@ -162,7 +162,7 @@ def run_figure(name: str, outdir, rel_tol: float = 1e-8,
                 fh.write(f"{label},{fv.row()}\n")
                 entry["db"] = True
                 entry["stage_v_count"] = fv.stage_v_count
-            except Exception as exc:
+            except ClassificationError as exc:
                 entry["db"] = False
                 entry["error"] = str(exc)
             summary["traces"].append(entry)

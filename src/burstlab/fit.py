@@ -18,9 +18,10 @@ from typing import Optional
 from .bifurcation import BifCurve
 from .features import (ClassificationError, FeatureVector, burst_features,
                        feature_distance, run_driven)
+from .integrate import StepSizeError
 from .landscape import sweep_workers
 from .model import FullFast, ReducedFast
-from .params import ModelParams
+from .params import InvalidParameterError, ModelParams
 from .paths import EllipsePath
 
 PENALTY = 1e6
@@ -116,7 +117,7 @@ def _evaluate(problem: FitProblem, values: dict):
     except ClassificationError as exc:
         seq = str(exc)
         return Trial(values=values, distance=PENALTY, db=False, sequence=seq)
-    except Exception as exc:
+    except (StepSizeError, InvalidParameterError) as exc:
         return Trial(values=values, distance=PENALTY, db=False,
                      sequence=f"error: {exc}")
     dist = feature_distance(fv, problem.target, problem.weights)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bifurcation
-from .integrate import detect_events, integrate
+from .integrate import StepSizeError, detect_events, integrate
 
 PERIOD = "PERIOD"
 RE_LAMBDA = "RE_LAMBDA"
@@ -128,8 +128,9 @@ def orbit_period(fast, slow, *, level: float = -20.0, t_transient: float = 500.0
     transient, then averages the gaps between upward level crossings. Returns
     None when fewer than 3 crossings occur (quiescent or steady state), when
     the gap spread does not settle after one retry with a doubled transient,
-    or when the oscillation amplitude keeps decaying (slowly converging
-    focus right of the Hopf curve rather than an orbit).
+    when the oscillation amplitude keeps decaying (slowly converging
+    focus right of the Hopf curve rather than an orbit), or when the step
+    size underflows (StepSizeError). Any other exception propagates.
     """
     rhs = fast.frozen_rhs(slow)
     y0 = fast.slaved(level)
@@ -139,7 +140,7 @@ def orbit_period(fast, slow, *, level: float = -20.0, t_transient: float = 500.0
         traj, evs = detect_events(rhs, y1, (t_transient, t_transient + t_measure),
                                   [lambda t, y: y[0] - level],
                                   rel_tol=rel_tol, abs_tol=abs_tol)
-    except Exception:
+    except StepSizeError:
         return None
     ups = [e.t for e in evs if e.direction > 0]
     if len(ups) < 3:

@@ -1,19 +1,24 @@
-"""Right-hand sides, currents and gating functions for the bursting models.
+"""Gating functions, the current balance and the right-hand sides of the
+bursting models.
 
 Two fast subsystems are implemented: the five-variable one with state
 (v, n, m, h, s) and its two-variable quasi-steady-state reduction with state
 (v, n), obtained by setting m = m_inf(v), s = s_inf(v)/(s_inf(v) + k) and
-h = 1 - 1.08 n. The slow pair (Ca, Na) acts as the fast subsystem's
-parameters; the autonomous models append the biological slow equations and
-the driven models append the imposed elliptic path dynamics.
+h = 1 - 1.08 n. The slow pair (Ca, Na) enters each fast subsystem only
+through the CAN conductance and the pump current. So each subsystem's current
+balance is written once, as a core that takes those two numbers, and every
+form is derived from it: frozen (Ca, Na) for the equilibria and landscapes,
+an imposed elliptic path for the driven models, the biological slow
+equations for the autonomous models, and a numpy form for the equilibrium
+scan. The readable six-current reference lives in tests/oracles.py, apart
+from this code.
 
-All functions are pure; state is passed as plain tuples of floats, which is
-the fastest representation for systems of this size.
+State is passed as plain tuples of floats, which is the fastest
+representation for systems of this size.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -87,83 +92,15 @@ def can_activation(ca: float, p: ModelParams) -> float:
     return _sig((ca - p.k_can) / p.sigma_can)
 
 
-@dataclass(frozen=True)
-class Currents:
-    """Membrane currents (pA) at a given state and slow point."""
-
-    i_l: float
-    i_k: float
-    i_na: float
-    i_syn: float
-    i_can: float
-    i_pump: float
-
-    @property
-    def total(self) -> float:
-        return self.i_l + self.i_k + self.i_na + self.i_syn + self.i_can + self.i_pump
-
-
-def currents(state, slow, p: ModelParams) -> Currents:
-    """Evaluate all six currents for a five-variable fast state (v,n,m,h,s)."""
-    v, n, m, h, s = state
-    ca, na = slow
-    return Currents(
-        i_l=p.g_l * (v - p.e_l),
-        i_k=p.g_k * n ** 4 * (v - p.e_k),
-        i_na=p.g_na * m ** 3 * h * (v - p.e_na),
-        i_syn=p.g_syn * s * (v - p.e_syn),
-        i_can=p.g_can * (v - p.e_can) * can_activation(ca, p),
-        i_pump=p.r_pump * (phi(na, p.k_na) - phi(p.na_b, p.k_na)),
-    )
-
-
 def s_slaved(v: float, p: ModelParams) -> float:
     """Fixed point of the s equation at frozen v: s_inf/(s_inf + k)."""
     si = gate_inf(v, p.theta_s, p.sigma_s)
     return si / (si + p.k)
 
 
-def reduced_fast_state(v: float, n: float, p: ModelParams):
-    """Lift a reduced (v, n) state to the five-variable representation."""
-    return (v, n, gate_inf(v, p.theta_m, p.sigma_m), 1.0 - 1.08 * n, s_slaved(v, p))
-
-
-def rhs_fast7(state, slow, p: ModelParams):
-    """Five-variable fast subsystem right-hand side, d(v,n,m,h,s)/dt."""
-    v, n, m, h, s = state
-    cur = currents(state, slow, p)
-    dv = -cur.total / p.c
-    dn = (gate_inf(v, p.theta_n, p.sigma_n) - n) / gate_tau(v, p.t_n, p.theta_n, p.sigma_n)
-    dm = (gate_inf(v, p.theta_m, p.sigma_m) - m) / gate_tau(v, p.t_m, p.theta_m, p.sigma_m)
-    dh = (gate_inf(v, p.theta_h, p.sigma_h) - h) / gate_tau(v, p.t_h, p.theta_h, p.sigma_h)
-    ds = ((1.0 - s) * gate_inf(v, p.theta_s, p.sigma_s) - p.k * s) / p.tau_s
-    return (dv, dn, dm, dh, ds)
-
-
-def rhs_slow7(state, slow, p: ModelParams):
-    """Biological slow dynamics d(Ca, Na)/dt for a five-variable fast state."""
-    v = state[0]
-    s = state[4]
-    ca, na = slow
-    i_can = p.g_can * (v - p.e_can) * can_activation(ca, p)
-    i_pump = p.r_pump * (phi(na, p.k_na) - phi(p.na_b, p.k_na))
-    dca = p.eps * (p.k_ip3 * s - p.k_ca * (ca - p.ca_b))
-    dna = p.alpha * (-i_can - i_pump)
-    return (dca, dna)
-
-
-def rhs_fast4(state, slow, p: ModelParams):
-    """Two-variable reduced fast subsystem right-hand side, d(v, n)/dt."""
-    v, n = state
-    lifted = reduced_fast_state(v, n, p)
-    cur = currents(lifted, slow, p)
-    dv = -cur.total / p.c
-    dn = (gate_inf(v, p.theta_n, p.sigma_n) - n) / gate_tau(v, p.t_n, p.theta_n, p.sigma_n)
-    return (dv, dn)
-
-
 def jac_fast4(state, slow, p: ModelParams):
-    """Analytic 2x2 Jacobian of rhs_fast4 at (v, n) with (Ca, Na) frozen."""
+    """Analytic 2x2 Jacobian of the reduced fast subsystem at (v, n),
+    (Ca, Na) frozen."""
     v, n = state
     ca, _na = slow
     m = gate_inf(v, p.theta_m, p.sigma_m)
@@ -208,17 +145,130 @@ def fd_jacobian(f, y, step: float = 1e-6):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-class ReducedFast:
+# ---------------------------------------------------------------------------
+# The current balance, written once per fast subsystem. Each builder captures
+# the parameters as closure locals, the fastest lookup in CPython, and takes
+# the sigmoid and cosh as arguments: _sig and math.cosh for the integrator's
+# tuples, _sig_array and np.cosh for numpy arrays. The operation order in the
+# cores and in _slow_currents fixes driven and autonomous runs to the last
+# digit; reordering it changes every stored trace.
+
+def _fast2_core(p: ModelParams, sig=_sig, cosh=math.cosh):
+    """(v, n, a_can, i_pump) -> (v', n') of the reduced fast subsystem."""
+    g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
+        p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
+    inv_c, e_can = 1.0 / p.c, p.e_can
+    th_m, inv_sm = p.theta_m, 1.0 / p.sigma_m
+    th_s, inv_ss = p.theta_s, 1.0 / p.sigma_s
+    th_n, inv_sn = p.theta_n, 1.0 / p.sigma_n
+    t_n, k = p.t_n, p.k
+
+    def core(v, n, a_can, i_pump):
+        m = sig((v - th_m) * inv_sm)
+        si = sig((v - th_s) * inv_ss)
+        h = 1.0 - 1.08 * n
+        n2 = n * n
+        dv = -inv_c * (g_l * (v - e_l)
+                       + g_k * n2 * n2 * (v - e_k)
+                       + g_na * m * m * m * h * (v - e_na)
+                       + g_syn * si / (si + k) * (v - e_syn)
+                       + a_can * (v - e_can)
+                       + i_pump)
+        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_sn * 0.5))
+        return dv, dn
+
+    return core
+
+
+def _fast5_core(p: ModelParams, sig=_sig, cosh=math.cosh):
+    """(v, n, m, h, s, a_can, i_pump) -> the five fast derivatives."""
+    g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
+        p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
+    inv_c, e_can = 1.0 / p.c, p.e_can
+    th_n, inv_sn, t_n = p.theta_n, 1.0 / p.sigma_n, p.t_n
+    th_m, inv_sm, t_m = p.theta_m, 1.0 / p.sigma_m, p.t_m
+    th_h, inv_sh, t_h = p.theta_h, 1.0 / p.sigma_h, p.t_h
+    th_s, inv_ss = p.theta_s, 1.0 / p.sigma_s
+    inv_tau_s, k = 1.0 / p.tau_s, p.k
+
+    def core(v, n, m, h, s, a_can, i_pump):
+        n2 = n * n
+        dv = -inv_c * (g_l * (v - e_l)
+                       + g_k * n2 * n2 * (v - e_k)
+                       + g_na * m * m * m * h * (v - e_na)
+                       + g_syn * s * (v - e_syn)
+                       + a_can * (v - e_can)
+                       + i_pump)
+        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_sn * 0.5))
+        dm = (sig((v - th_m) * inv_sm) - m) / (t_m / cosh((v - th_m) * inv_sm * 0.5))
+        dh = (sig((v - th_h) * inv_sh) - h) / (t_h / cosh((v - th_h) * inv_sh * 0.5))
+        ds = ((1.0 - s) * sig((v - th_s) * inv_ss) - k * s) * inv_tau_s
+        return dv, dn, dm, dh, ds
+
+    return core
+
+
+def _slow_currents(p: ModelParams):
+    """(Ca, Na) -> (a_can, i_pump): the CAN conductance g_CAN x_CAN(Ca) and
+    the pump current, zero at the baseline Na_b."""
+    g_can, k_can, inv_scan = p.g_can, p.k_can, 1.0 / p.sigma_can
+    r_pump, kna3, phi_b = p.r_pump, p.k_na ** 3, phi(p.na_b, p.k_na)
+    sig = _sig
+
+    def slow_currents(ca, na):
+        na3 = na * na * na
+        return (g_can * sig((ca - k_can) * inv_scan),
+                r_pump * (na3 / (na3 + kna3) - phi_b))
+
+    return slow_currents
+
+
+def _slow_rhs(p: ModelParams):
+    """(v, s, Ca, a_can, i_pump) -> (Ca', Na') of the biological slow
+    equations: IP3-driven calcium release and sodium entry through CAN
+    against the pump."""
+    eps, k_ip3, k_ca, ca_b = p.eps, p.k_ip3, p.k_ca, p.ca_b
+    alpha, e_can = p.alpha, p.e_can
+
+    def slow_rhs(v, s, ca, a_can, i_pump):
+        return (eps * (k_ip3 * s - k_ca * (ca - ca_b)),
+                alpha * (-(a_can * (v - e_can)) - i_pump))
+
+    return slow_rhs
+
+
+class _FastSubsystem:
+    """What both fast subsystems derive from their core alone."""
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self._core = self._make_core(params)
+        self._slow_currents = _slow_currents(params)
+
+    def __reduce__(self):
+        # the cores are closures, which do not pickle: rebuild from params
+        return type(self), (self.params,)
+
+    def rhs(self, y, slow):
+        return self._core(*y, *self._slow_currents(*slow))
+
+
+class ReducedFast(_FastSubsystem):
     """Two-variable fast subsystem with (Ca, Na) as parameters."""
 
     dim = 2
     name = "reduced"
+    _make_core = staticmethod(_fast2_core)
 
-    def __init__(self, params: ModelParams):
-        self.params = params
+    def frozen_rhs(self, slow):
+        core = self._core
+        a_can, i_pump = self._slow_currents(*slow)
 
-    def rhs(self, y, slow):
-        return rhs_fast4(y, slow, self.params)
+        def rhs(t, y):
+            v, n = y
+            return core(v, n, a_can, i_pump)
+
+        return rhs
 
     def jacobian(self, y, slow):
         return jac_fast4(y, slow, self.params)
@@ -234,33 +284,63 @@ class ReducedFast:
         changes the rhs must change this too.
         """
         p = self.params
-        rhs = make_fast4_rhs(p, slow[0], slow[1], sig=_sig_array, cosh=np.cosh)
-        return rhs(0.0, (vs, _sig_array((vs - p.theta_n) / p.sigma_n)))[0]
-
-    def frozen_rhs(self, slow):
-        return make_fast4_rhs(self.params, slow[0], slow[1])
+        core = _fast2_core(p, sig=_sig_array, cosh=np.cosh)
+        n = _sig_array((vs - p.theta_n) / p.sigma_n)
+        return core(vs, n, *self._slow_currents(*slow))[0]
 
     def driven_rhs(self, path):
-        return make_driven4_rhs(self.params, path)
+        """State (v, n, Ca, Na); the slow pair follows the path's rotation
+        field and does not feel the fast variables."""
+        core, slow_currents = self._core, self._slow_currents
+        eps_d, eps_over_d = path.eps * path.d, path.eps / path.d
+        ca_c, na_c = path.ca_c, path.na_c
+
+        def rhs(t, y):
+            v, n, ca, na = y
+            a_can, i_pump = slow_currents(ca, na)
+            dv, dn = core(v, n, a_can, i_pump)
+            return (dv, dn, -eps_d * (na - na_c), eps_over_d * (ca - ca_c))
+
+        return rhs
 
     def autonomous_rhs(self):
-        return make_auto4_rhs(self.params)
+        """State (v, n, Ca, Na); the Ca equation sees the slaved s."""
+        p = self.params
+        core, slow_currents, slow_rhs = self._core, self._slow_currents, _slow_rhs(p)
+        th_s, inv_ss, k = p.theta_s, 1.0 / p.sigma_s, p.k
+        sig = _sig
+
+        def rhs(t, y):
+            v, n, ca, na = y
+            a_can, i_pump = slow_currents(ca, na)
+            dv, dn = core(v, n, a_can, i_pump)
+            si = sig((v - th_s) * inv_ss)
+            dca, dna = slow_rhs(v, si / (si + k), ca, a_can, i_pump)
+            return (dv, dn, dca, dna)
+
+        return rhs
 
 
-class FullFast:
+class FullFast(_FastSubsystem):
     """Five-variable fast subsystem with (Ca, Na) as parameters."""
 
     dim = 5
     name = "full"
+    _make_core = staticmethod(_fast5_core)
 
-    def __init__(self, params: ModelParams):
-        self.params = params
+    def frozen_rhs(self, slow):
+        core = self._core
+        a_can, i_pump = self._slow_currents(*slow)
 
-    def rhs(self, y, slow):
-        return rhs_fast7(y, slow, self.params)
+        def rhs(t, y):
+            v, n, m, h, s = y
+            return core(v, n, m, h, s, a_can, i_pump)
+
+        return rhs
 
     def jacobian(self, y, slow, step: float = 1e-6):
-        return fd_jacobian(lambda yy: rhs_fast7(yy, slow, self.params), y, step)
+        rhs = self.frozen_rhs(slow)
+        return fd_jacobian(lambda yy: rhs(0.0, yy), y, step)
 
     def slaved(self, v: float):
         p = self.params
@@ -280,267 +360,33 @@ class FullFast:
         n, m, h, si = (_sig_array((vs - theta) / sigma) for theta, sigma in (
             (p.theta_n, p.sigma_n), (p.theta_m, p.sigma_m),
             (p.theta_h, p.sigma_h), (p.theta_s, p.sigma_s)))
-        rhs = make_fast7_rhs(p, slow[0], slow[1], sig=_sig_array, cosh=np.cosh)
-        return rhs(0.0, (vs, n, m, h, si / (si + p.k)))[0]
-
-    def frozen_rhs(self, slow):
-        return make_fast7_rhs(self.params, slow[0], slow[1])
+        core = _fast5_core(p, sig=_sig_array, cosh=np.cosh)
+        return core(vs, n, m, h, si / (si + p.k), *self._slow_currents(*slow))[0]
 
     def driven_rhs(self, path):
-        return make_driven7_rhs(self.params, path)
+        """State (v, n, m, h, s, Ca, Na), the path as for ReducedFast."""
+        core, slow_currents = self._core, self._slow_currents
+        eps_d, eps_over_d = path.eps * path.d, path.eps / path.d
+        ca_c, na_c = path.ca_c, path.na_c
+
+        def rhs(t, y):
+            v, n, m, h, s, ca, na = y
+            a_can, i_pump = slow_currents(ca, na)
+            dv, dn, dm, dh, ds = core(v, n, m, h, s, a_can, i_pump)
+            return (dv, dn, dm, dh, ds,
+                    -eps_d * (na - na_c), eps_over_d * (ca - ca_c))
+
+        return rhs
 
     def autonomous_rhs(self):
-        return make_auto7_rhs(self.params)
+        """State (v, n, m, h, s, Ca, Na)."""
+        core, slow_currents, slow_rhs = self._core, self._slow_currents, _slow_rhs(self.params)
 
+        def rhs(t, y):
+            v, n, m, h, s, ca, na = y
+            a_can, i_pump = slow_currents(ca, na)
+            dv, dn, dm, dh, ds = core(v, n, m, h, s, a_can, i_pump)
+            dca, dna = slow_rhs(v, s, ca, a_can, i_pump)
+            return (dv, dn, dm, dh, ds, dca, dna)
 
-# ---------------------------------------------------------------------------
-# Specialized closures for the integrator hot loop. These inline the same
-# formulas as the rhs_* functions above with parameters captured as locals;
-# the generic functions remain the reference implementation and the tests
-# assert both paths agree. The frozen closures take the sigmoid and cosh as
-# arguments, so that with _sig_array and np.cosh they act on numpy arrays.
-
-def make_fast4_rhs(p: ModelParams, ca: float, na: float, sig=_sig,
-                   cosh=math.cosh):
-    g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
-        p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
-    inv_c = 1.0 / p.c
-    th_m, inv_sm = p.theta_m, 1.0 / p.sigma_m
-    th_s, inv_ss = p.theta_s, 1.0 / p.sigma_s
-    th_n, inv_sn = p.theta_n, 1.0 / p.sigma_n
-    inv_2sn = 0.5 * inv_sn
-    t_n, k = p.t_n, p.k
-    a_can = p.g_can * can_activation(ca, p)
-    e_can = p.e_can
-    i_pump = p.r_pump * (phi(na, p.k_na) - phi(p.na_b, p.k_na))
-
-    def rhs(t, y):
-        v, n = y
-        m = sig((v - th_m) * inv_sm)
-        si = sig((v - th_s) * inv_ss)
-        h = 1.0 - 1.08 * n
-        n2 = n * n
-        dv = -inv_c * (g_l * (v - e_l)
-                       + g_k * n2 * n2 * (v - e_k)
-                       + g_na * m * m * m * h * (v - e_na)
-                       + g_syn * si / (si + k) * (v - e_syn)
-                       + a_can * (v - e_can)
-                       + i_pump)
-        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_2sn))
-        return (dv, dn)
-
-    return rhs
-
-
-def make_fast7_rhs(p: ModelParams, ca: float, na: float, sig=_sig,
-                   cosh=math.cosh):
-    g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
-        p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
-    inv_c = 1.0 / p.c
-    th_n, inv_sn, t_n = p.theta_n, 1.0 / p.sigma_n, p.t_n
-    th_m, inv_sm, t_m = p.theta_m, 1.0 / p.sigma_m, p.t_m
-    th_h, inv_sh, t_h = p.theta_h, 1.0 / p.sigma_h, p.t_h
-    th_s, inv_ss = p.theta_s, 1.0 / p.sigma_s
-    inv_tau_s, k = 1.0 / p.tau_s, p.k
-    a_can = p.g_can * can_activation(ca, p)
-    e_can = p.e_can
-    i_pump = p.r_pump * (phi(na, p.k_na) - phi(p.na_b, p.k_na))
-
-    def rhs(t, y):
-        v, n, m, h, s = y
-        n2 = n * n
-        dv = -inv_c * (g_l * (v - e_l)
-                       + g_k * n2 * n2 * (v - e_k)
-                       + g_na * m * m * m * h * (v - e_na)
-                       + g_syn * s * (v - e_syn)
-                       + a_can * (v - e_can)
-                       + i_pump)
-        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_sn * 0.5))
-        dm = (sig((v - th_m) * inv_sm) - m) / (t_m / cosh((v - th_m) * inv_sm * 0.5))
-        dh = (sig((v - th_h) * inv_sh) - h) / (t_h / cosh((v - th_h) * inv_sh * 0.5))
-        ds = ((1.0 - s) * sig((v - th_s) * inv_ss) - k * s) * inv_tau_s
-        return (dv, dn, dm, dh, ds)
-
-    return rhs
-
-
-def make_driven4_rhs(p: ModelParams, path):
-    """Reduced fast subsystem driven by an imposed elliptic slow path.
-
-    State layout (v, n, Ca, Na); the slow pair follows the path's rotation
-    field and does not feel the fast variables.
-    """
-    g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
-        p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
-    inv_c = 1.0 / p.c
-    th_m, inv_sm = p.theta_m, 1.0 / p.sigma_m
-    th_s, inv_ss = p.theta_s, 1.0 / p.sigma_s
-    th_n, inv_sn = p.theta_n, 1.0 / p.sigma_n
-    t_n, k = p.t_n, p.k
-    g_can_, e_can = p.g_can, p.e_can
-    k_can, inv_scan = p.k_can, 1.0 / p.sigma_can
-    r_pump, k_na = p.r_pump, p.k_na
-    phi_b = phi(p.na_b, p.k_na)
-    kna3 = k_na ** 3
-    eps, d = path.eps, path.d
-    ca_c, na_c = path.ca_c, path.na_c
-    eps_d = eps * d
-    eps_over_d = eps / d
-    sig = _sig
-    cosh = math.cosh
-
-    def rhs(t, y):
-        v, n, ca, na = y
-        m = sig((v - th_m) * inv_sm)
-        si = sig((v - th_s) * inv_ss)
-        h = 1.0 - 1.08 * n
-        n2 = n * n
-        na3 = na * na * na
-        dv = -inv_c * (g_l * (v - e_l)
-                       + g_k * n2 * n2 * (v - e_k)
-                       + g_na * m * m * m * h * (v - e_na)
-                       + g_syn * si / (si + k) * (v - e_syn)
-                       + g_can_ * sig((ca - k_can) * inv_scan) * (v - e_can)
-                       + r_pump * (na3 / (na3 + kna3) - phi_b))
-        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_sn * 0.5))
-        return (dv, dn, -eps_d * (na - na_c), eps_over_d * (ca - ca_c))
-
-    return rhs
-
-
-def make_driven7_rhs(p: ModelParams, path):
-    """Five-variable fast subsystem driven by an imposed elliptic slow path.
-
-    State layout (v, n, m, h, s, Ca, Na).
-    """
-    base = _make_fast7_core(p)
-    eps_d = path.eps * path.d
-    eps_over_d = path.eps / path.d
-    ca_c, na_c = path.ca_c, path.na_c
-
-    def rhs(t, y):
-        dv, dn, dm, dh, ds = base(y)
-        return (dv, dn, dm, dh, ds,
-                -eps_d * (y[6] - na_c), eps_over_d * (y[5] - ca_c))
-
-    return rhs
-
-
-def make_auto4_rhs(p: ModelParams):
-    """Autonomous reduced model: Eq-(3)-style fast pair plus biological slow
-    dynamics with s replaced by its slaved value. State (v, n, Ca, Na)."""
-    th_s, inv_ss, k = p.theta_s, 1.0 / p.sigma_s, p.k
-    eps, k_ip3, k_ca, ca_b, alpha = p.eps, p.k_ip3, p.k_ca, p.ca_b, p.alpha
-    g_can_, e_can = p.g_can, p.e_can
-    k_can, inv_scan = p.k_can, 1.0 / p.sigma_can
-    r_pump, kna3 = p.r_pump, p.k_na ** 3
-    phi_b = phi(p.na_b, p.k_na)
-    core = _make_fast4_core(p)
-    sig = _sig
-
-    def rhs(t, y):
-        v, n, ca, na = y
-        dv, dn = core(v, n, ca, na)
-        si = sig((v - th_s) * inv_ss)
-        s_al = si / (si + k)
-        na3 = na * na * na
-        i_can = g_can_ * sig((ca - k_can) * inv_scan) * (v - e_can)
-        i_pump = r_pump * (na3 / (na3 + kna3) - phi_b)
-        dca = eps * (k_ip3 * s_al - k_ca * (ca - ca_b))
-        dna = alpha * (-i_can - i_pump)
-        return (dv, dn, dca, dna)
-
-    return rhs
-
-
-def make_auto7_rhs(p: ModelParams):
-    """Autonomous 7D model: five fast variables plus (Ca, Na)."""
-    base = _make_fast7_core(p)
-    eps, k_ip3, k_ca, ca_b, alpha = p.eps, p.k_ip3, p.k_ca, p.ca_b, p.alpha
-    g_can_, e_can = p.g_can, p.e_can
-    k_can, inv_scan = p.k_can, 1.0 / p.sigma_can
-    r_pump, kna3 = p.r_pump, p.k_na ** 3
-    phi_b = phi(p.na_b, p.k_na)
-    sig = _sig
-
-    def rhs(t, y):
-        dv, dn, dm, dh, ds = base(y)
-        v, s, ca, na = y[0], y[4], y[5], y[6]
-        na3 = na * na * na
-        i_can = g_can_ * sig((ca - k_can) * inv_scan) * (v - e_can)
-        i_pump = r_pump * (na3 / (na3 + kna3) - phi_b)
-        dca = eps * (k_ip3 * s - k_ca * (ca - ca_b))
-        dna = alpha * (-i_can - i_pump)
-        return (dv, dn, dm, dh, ds, dca, dna)
-
-    return rhs
-
-
-def _make_fast4_core(p: ModelParams):
-    # (v, n, ca, na) -> (dv, dn) with per-call Ca/Na current evaluation
-    g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
-        p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
-    inv_c = 1.0 / p.c
-    th_m, inv_sm = p.theta_m, 1.0 / p.sigma_m
-    th_s, inv_ss = p.theta_s, 1.0 / p.sigma_s
-    th_n, inv_sn = p.theta_n, 1.0 / p.sigma_n
-    t_n, k = p.t_n, p.k
-    g_can_, e_can = p.g_can, p.e_can
-    k_can, inv_scan = p.k_can, 1.0 / p.sigma_can
-    r_pump, kna3 = p.r_pump, p.k_na ** 3
-    phi_b = phi(p.na_b, p.k_na)
-    sig = _sig
-    cosh = math.cosh
-
-    def core(v, n, ca, na):
-        m = sig((v - th_m) * inv_sm)
-        si = sig((v - th_s) * inv_ss)
-        h = 1.0 - 1.08 * n
-        n2 = n * n
-        na3 = na * na * na
-        dv = -inv_c * (g_l * (v - e_l)
-                       + g_k * n2 * n2 * (v - e_k)
-                       + g_na * m * m * m * h * (v - e_na)
-                       + g_syn * si / (si + k) * (v - e_syn)
-                       + g_can_ * sig((ca - k_can) * inv_scan) * (v - e_can)
-                       + r_pump * (na3 / (na3 + kna3) - phi_b))
-        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_sn * 0.5))
-        return dv, dn
-
-    return core
-
-
-def _make_fast7_core(p: ModelParams):
-    # y[(v, n, m, h, s, ca, na)] -> five fast derivatives
-    g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
-        p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
-    inv_c = 1.0 / p.c
-    th_n, inv_sn, t_n = p.theta_n, 1.0 / p.sigma_n, p.t_n
-    th_m, inv_sm, t_m = p.theta_m, 1.0 / p.sigma_m, p.t_m
-    th_h, inv_sh, t_h = p.theta_h, 1.0 / p.sigma_h, p.t_h
-    th_s, inv_ss = p.theta_s, 1.0 / p.sigma_s
-    inv_tau_s, k = 1.0 / p.tau_s, p.k
-    g_can_, e_can = p.g_can, p.e_can
-    k_can, inv_scan = p.k_can, 1.0 / p.sigma_can
-    r_pump, kna3 = p.r_pump, p.k_na ** 3
-    phi_b = phi(p.na_b, p.k_na)
-    sig = _sig
-    cosh = math.cosh
-
-    def core(y):
-        v, n, m, h, s, ca, na = y
-        n2 = n * n
-        na3 = na * na * na
-        dv = -inv_c * (g_l * (v - e_l)
-                       + g_k * n2 * n2 * (v - e_k)
-                       + g_na * m * m * m * h * (v - e_na)
-                       + g_syn * s * (v - e_syn)
-                       + g_can_ * sig((ca - k_can) * inv_scan) * (v - e_can)
-                       + r_pump * (na3 / (na3 + kna3) - phi_b))
-        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_sn * 0.5))
-        dm = (sig((v - th_m) * inv_sm) - m) / (t_m / cosh((v - th_m) * inv_sm * 0.5))
-        dh = (sig((v - th_h) * inv_sh) - h) / (t_h / cosh((v - th_h) * inv_sh * 0.5))
-        ds = ((1.0 - s) * sig((v - th_s) * inv_ss) - k * s) * inv_tau_s
-        return dv, dn, dm, dh, ds
-
-    return core
+        return rhs

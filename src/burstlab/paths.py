@@ -2,7 +2,7 @@
 
 A path is an ellipse with principal axes along the coordinate axes, traced
 counter-clockwise at constant angular speed eps. It can be evaluated in
-closed form or integrated as the linear rotation field ellipse_rhs; both
+closed form or integrated as the linear rotation field EllipsePath.rhs; both
 views agree and the quadratic form Q below is conserved along the flow.
 """
 from __future__ import annotations
@@ -73,15 +73,3 @@ class EllipsePath:
         return ((self.ca_c - de, self.ca_c + de),
                 (self.na_c - de / self.d, self.na_c + de / self.d),
                 de)
-
-
-def ellipse_point(path: EllipsePath, t: float):
-    return path.point(t)
-
-
-def ellipse_rhs(slow, path: EllipsePath):
-    return path.rhs(slow)
-
-
-def path_extent(path: EllipsePath):
-    return path.extent()

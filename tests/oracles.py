@@ -1,5 +1,10 @@
 """Independent brute-force oracles used by the tests.
 
+The model reference writes the six membrane currents out one by one from
+the gate functions (Currents, currents) and builds the fast and slow
+right-hand sides from them, apart from the cores in burstlab.model; the
+tests compare every derived rhs form with it.
+
 These deliberately avoid the production algorithms: fold locations come
 from bisection on the equilibrium count, Hopf locations from a sign scan of
 the eigenvalue real part, and contour points from one-dimensional bisection
@@ -9,10 +14,81 @@ rather than by the models' array form of G.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from burstlab.bifurcation import (_V_GRID, Equilibrium, eigen,
                                   newton_equilibrium)
+from burstlab.model import can_activation, gate_inf, gate_tau, phi, s_slaved
+from burstlab.params import ModelParams
+
+
+@dataclass(frozen=True)
+class Currents:
+    """Membrane currents (pA) at a given state and slow point."""
+
+    i_l: float
+    i_k: float
+    i_na: float
+    i_syn: float
+    i_can: float
+    i_pump: float
+
+    @property
+    def total(self) -> float:
+        return self.i_l + self.i_k + self.i_na + self.i_syn + self.i_can + self.i_pump
+
+
+def currents(state, slow, p: ModelParams) -> Currents:
+    """Evaluate all six currents for a five-variable fast state (v,n,m,h,s)."""
+    v, n, m, h, s = state
+    ca, na = slow
+    return Currents(
+        i_l=p.g_l * (v - p.e_l),
+        i_k=p.g_k * n ** 4 * (v - p.e_k),
+        i_na=p.g_na * m ** 3 * h * (v - p.e_na),
+        i_syn=p.g_syn * s * (v - p.e_syn),
+        i_can=p.g_can * (v - p.e_can) * can_activation(ca, p),
+        i_pump=p.r_pump * (phi(na, p.k_na) - phi(p.na_b, p.k_na)),
+    )
+
+
+def reduced_fast_state(v: float, n: float, p: ModelParams):
+    """Lift a reduced (v, n) state to the five-variable representation."""
+    return (v, n, gate_inf(v, p.theta_m, p.sigma_m), 1.0 - 1.08 * n, s_slaved(v, p))
+
+
+def rhs_fast7(state, slow, p: ModelParams):
+    """Five-variable fast subsystem right-hand side, d(v,n,m,h,s)/dt."""
+    v, n, m, h, s = state
+    cur = currents(state, slow, p)
+    dv = -cur.total / p.c
+    dn = (gate_inf(v, p.theta_n, p.sigma_n) - n) / gate_tau(v, p.t_n, p.theta_n, p.sigma_n)
+    dm = (gate_inf(v, p.theta_m, p.sigma_m) - m) / gate_tau(v, p.t_m, p.theta_m, p.sigma_m)
+    dh = (gate_inf(v, p.theta_h, p.sigma_h) - h) / gate_tau(v, p.t_h, p.theta_h, p.sigma_h)
+    ds = ((1.0 - s) * gate_inf(v, p.theta_s, p.sigma_s) - p.k * s) / p.tau_s
+    return (dv, dn, dm, dh, ds)
+
+
+def rhs_slow7(state, slow, p: ModelParams):
+    """Biological slow dynamics d(Ca, Na)/dt for a five-variable fast state."""
+    s = state[4]
+    ca, _na = slow
+    cur = currents(state, slow, p)
+    dca = p.eps * (p.k_ip3 * s - p.k_ca * (ca - p.ca_b))
+    dna = p.alpha * (-cur.i_can - cur.i_pump)
+    return (dca, dna)
+
+
+def rhs_fast4(state, slow, p: ModelParams):
+    """Two-variable reduced fast subsystem right-hand side, d(v, n)/dt."""
+    v, n = state
+    lifted = reduced_fast_state(v, n, p)
+    cur = currents(lifted, slow, p)
+    dv = -cur.total / p.c
+    dn = (gate_inf(v, p.theta_n, p.sigma_n) - n) / gate_tau(v, p.t_n, p.theta_n, p.sigma_n)
+    return (dv, dn)
 
 
 def _g(fast, v, slow):
@@ -137,3 +213,29 @@ def relambda_level_ca_oracle(fast, na, level, ca_start, ca_stop,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def rk4(rhs, y0, t_span, h: float):
+    """Fixed-step classical Runge-Kutta solution, the accuracy oracle for
+    the adaptive integrator.
+
+    Returns (ts, ys) as numpy arrays including both endpoints; the final
+    step is shortened to land exactly on t1.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = tuple(float(v) for v in y0)
+    ts = [t0]
+    ys = [y]
+    t = t0
+    while t < t1 - 1e-12:
+        step = min(h, t1 - t)
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * step, tuple(yi + 0.5 * step * a for yi, a in zip(y, k1)))
+        k3 = rhs(t + 0.5 * step, tuple(yi + 0.5 * step * a for yi, a in zip(y, k2)))
+        k4 = rhs(t + step, tuple(yi + step * a for yi, a in zip(y, k3)))
+        y = tuple(yi + step / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+        t += step
+        ts.append(t)
+        ys.append(y)
+    return np.array(ts), np.array(ys)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from burstlab import EllipsePath, FULL7D, REDUCED4D, ModelParams, integrate, rk4
+from burstlab import EllipsePath, FULL7D, REDUCED4D, ModelParams, integrate
 from burstlab.bifurcation import verify_snic
 from burstlab.features import (burst_features, feature_distance,
                                min_oscillation_amplitude, run_autonomous,
@@ -19,7 +19,7 @@ from burstlab.figures import FIG6_WINDOW, PERIOD_LEVELS
 from burstlab.fit import FitProblem, fit_path
 from burstlab.landscape import PERIOD, build_field, extract_contours
 
-from oracles import fold_ca_oracle, hopf_ca_oracle
+from oracles import fold_ca_oracle, hopf_ca_oracle, rk4
 
 DATA = Path(__file__).parent / "data"
 

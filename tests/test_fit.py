@@ -1,6 +1,6 @@
 import pytest
 
-from burstlab import REDUCED4D
+from burstlab import REDUCED4D, StepSizeError, fit
 from burstlab.features import burst_features
 from burstlab.fit import (FitProblem, fit_path, latin_hypercube, nelder_mead,
                           PENALTY)
@@ -122,3 +122,22 @@ def test_fit_result_csv(tmp_path, small_problem):
     lines = out.read_text().splitlines()
     assert lines[0] == "ca0,d,distance,db,sequence"
     assert len(lines) == len(result.trials) + 1
+
+
+def _raise(exc):
+    def run_driven(*args, **kwargs):
+        raise exc
+    return run_driven
+
+
+def test_fit_propagates_programming_errors(small_problem, monkeypatch):
+    monkeypatch.setattr(fit, "run_driven", _raise(TypeError("forced")))
+    with pytest.raises(TypeError, match="forced"):
+        fit_path(small_problem, workers=1)
+
+
+def test_fit_step_failure_is_penalized(small_problem, monkeypatch):
+    monkeypatch.setattr(fit, "run_driven", _raise(StepSizeError("forced", 0.0)))
+    trial = fit._evaluate(small_problem, {"d": 1.0, "ca0": 0.0})
+    assert trial.distance == PENALTY and not trial.db
+    assert trial.sequence == "error: forced"

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from burstlab import EllipsePath, StepSizeError, detect_events, integrate, rk4
+from oracles import rk4
+
+from burstlab import EllipsePath, StepSizeError, detect_events, integrate
 
 
 def test_exponential_decay():

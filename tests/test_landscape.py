@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from burstlab import landscape
+from burstlab import StepSizeError, landscape
 from burstlab.landscape import (PERIOD, RE_LAMBDA, ContourSet, GridSpec,
                                 ScalarField, build_field, extract_contours,
                                 orbit_period, relambda)
@@ -165,6 +165,28 @@ def test_build_field_uses_the_model_it_is_given(reduced):
     grid = GridSpec(0.1, 0.3, 5.0, 5.4, 2, 2)
     build_field(PERIOD, grid, Counting(reduced.params), workers=1)
     assert Counting.calls > 0
+
+
+def _failing_model(reduced, exc):
+    class Failing(type(reduced)):
+        def frozen_rhs(self, slow):
+            def rhs(t, y):
+                raise exc
+            return rhs
+
+    return Failing(reduced.params)
+
+
+def test_build_field_propagates_programming_errors(reduced):
+    grid = GridSpec(0.1, 0.3, 5.0, 5.4, 2, 2)
+    with pytest.raises(TypeError, match="forced"):
+        build_field(PERIOD, grid, _failing_model(reduced, TypeError("forced")),
+                    workers=1)
+
+
+def test_orbit_period_step_failure_is_undefined(reduced):
+    assert orbit_period(_failing_model(reduced, StepSizeError("forced", 0.0)),
+                        (0.2, 5.3)) is None
 
 
 def test_build_field_rejects_unknown_kind(reduced):

@@ -1,16 +1,20 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (currents, reduced_fast_state, rhs_fast4, rhs_fast7,
+                     rhs_slow7)
 
-from burstlab import FULL7D, REDUCED4D, InvalidParameterError
+import burstlab
+from burstlab import FULL7D, REDUCED4D, EllipsePath, InvalidParameterError
+from burstlab.bifurcation import DEFAULT_CA_WINDOW, DEFAULT_NA_RANGE
 from burstlab.integrate import integrate
-from burstlab.model import (FullFast, ReducedFast, can_activation, currents,
-                            fd_jacobian, gate_inf, gate_inf_dv, gate_tau,
-                            gate_tau_dv, jac_fast4, phi, reduced_fast_state,
-                            rhs_fast4, rhs_fast7, rhs_slow7, s_slaved)
+from burstlab.model import (FullFast, can_activation, fd_jacobian, gate_inf,
+                            gate_inf_dv, gate_tau, gate_tau_dv, jac_fast4, phi,
+                            s_slaved)
 
 
 def test_gate_inf_midpoint():
@@ -87,7 +91,7 @@ def test_relaxation_fixed_points():
              gate_inf(v, p.theta_m, p.sigma_m),
              gate_inf(v, p.theta_h, p.sigma_h),
              s_slaved(v, p))
-    d = rhs_fast7(state, (0.3, 5.2), p)
+    d = FullFast(p).rhs(state, (0.3, 5.2))
     assert d[1] == pytest.approx(0.0, abs=1e-15)
     assert d[2] == pytest.approx(0.0, abs=1e-15)
     assert d[3] == pytest.approx(0.0, abs=1e-15)
@@ -99,12 +103,11 @@ def test_slow_balance_points():
     # Ca' = 0 at the algebraic balance for given s
     s = 0.2
     ca = p.ca_b + p.k_ip3 * s / p.k_ca
-    state = (-50.0, 0.1, 0.1, 0.5, s)
-    dca, _ = rhs_slow7(state, (ca, 5.4), p)
+    rhs = FullFast(p).autonomous_rhs()
+    dca = rhs(0.0, (-50.0, 0.1, 0.1, 0.5, s, ca, 5.4))[5]
     assert dca == pytest.approx(0.0, abs=1e-12)
     # both Ca' terms vanish at s = 0, Ca = Ca_b
-    state0 = (-50.0, 0.1, 0.1, 0.5, 0.0)
-    dca0, _ = rhs_slow7(state0, (p.ca_b, 5.4), p)
+    dca0 = rhs(0.0, (-50.0, 0.1, 0.1, 0.5, 0.0, p.ca_b, 5.4))[5]
     assert dca0 == 0.0
 
 
@@ -150,38 +153,63 @@ def test_gate_derivatives_match_fd(theta, sigma):
                                       rel=1e-6, abs=1e-9)
 
 
-def _closure_matches(fast, slow, y):
-    rhs = fast.frozen_rhs(slow)
-    ref = fast.rhs(y, slow)
-    got = rhs(0.0, y)
-    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+def _sample_states(fast, seed, n=200):
+    # slow points over the tracing window, v over the physiological range,
+    # gates anywhere in the unit box
+    rng = np.random.default_rng(seed)
+    ca = rng.uniform(*DEFAULT_CA_WINDOW, size=n)
+    na = rng.uniform(*DEFAULT_NA_RANGE, size=n)
+    v = rng.uniform(-80.0, 20.0, size=n)
+    gates = rng.uniform(0.0, 1.0, size=(n, fast.dim - 1))
+    return [((float(v[i]), *map(float, gates[i])), (float(ca[i]), float(na[i])))
+            for i in range(n)]
 
 
-def test_fast_closures_match_reference(reduced, full):
-    _closure_matches(reduced, (0.3, 5.4), (-42.0, 0.31))
-    _closure_matches(full, (0.7, 5.3), (-42.0, 0.31, 0.2, 0.4, 0.05))
+def _assert_close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_driven_and_autonomous_closures_match_reference():
-    from burstlab import EllipsePath
-    p = REDUCED4D
-    fast = ReducedFast(p)
-    path = EllipsePath.centered(0.15, 5.85, 1.0, 0.0, 0.004)
-    y = (-42.0, 0.31, 0.2, 5.6)
-    drv = fast.driven_rhs(path)(0.0, y)
-    assert np.allclose(drv[:2], rhs_fast4(y[:2], y[2:], p), rtol=1e-12)
-    assert np.allclose(drv[2:], path.rhs(y[2:]), rtol=1e-12)
-    auto = fast.autonomous_rhs()(0.0, y)
-    assert np.allclose(auto[:2], rhs_fast4(y[:2], y[2:], p), rtol=1e-12)
-    lifted = reduced_fast_state(y[0], y[1], p)
-    assert np.allclose(auto[2:], rhs_slow7(lifted, y[2:], p), rtol=1e-12)
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_every_rhs_form_matches_oracle(model, request):
+    # each form derived from the model's core against the six-current
+    # reference of tests/oracles.py
+    fast = request.getfixturevalue(model)
+    p = fast.params
+    path = EllipsePath.centered(0.3, 5.6, 1.5, 0.1, 0.006)
+    driven, auto = fast.driven_rhs(path), fast.autonomous_rhs()
+    for y, slow in _sample_states(fast, 11):
+        if fast.dim == 2:
+            ref = rhs_fast4(y, slow, p)
+            lifted = reduced_fast_state(y[0], y[1], p)
+            g_ref = rhs_fast4((y[0], gate_inf(y[0], p.theta_n, p.sigma_n)),
+                              slow, p)[0]
+        else:
+            ref = rhs_fast7(y, slow, p)
+            lifted = y
+            g_ref = rhs_fast7(fast.slaved(y[0]), slow, p)[0]
+        _assert_close(fast.rhs(y, slow), ref)
+        _assert_close(fast.frozen_rhs(slow)(0.0, y), ref)
+        drv = driven(0.0, y + slow)
+        _assert_close(drv[:fast.dim], ref)
+        _assert_close(drv[fast.dim:], path.rhs(slow))
+        aut = auto(0.0, y + slow)
+        _assert_close(aut[:fast.dim], ref)
+        _assert_close(aut[fast.dim:], rhs_slow7(lifted, slow, p))
+        _assert_close(fast.g_array(np.array([y[0]]), slow), [g_ref])
 
-    pf = FULL7D
-    ffast = FullFast(pf)
-    y7 = (-42.0, 0.31, 0.2, 0.4, 0.05, 0.7, 5.3)
-    auto7 = ffast.autonomous_rhs()(0.0, y7)
-    assert np.allclose(auto7[:5], rhs_fast7(y7[:5], y7[5:], pf), rtol=1e-12)
-    assert np.allclose(auto7[5:], rhs_slow7(y7[:5], y7[5:], pf), rtol=1e-12)
+
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_model_pickle_round_trip(model, request):
+    fast = request.getfixturevalue(model)
+    copy = pickle.loads(pickle.dumps(fast))
+    assert type(copy) is type(fast) and copy.params == fast.params
+    for y, slow in _sample_states(fast, 12, n=20):
+        assert copy.rhs(y, slow) == fast.rhs(y, slow)
+
+
+def test_exports_resolve():
+    missing = [name for name in burstlab.__all__ if not hasattr(burstlab, name)]
+    assert not missing
 
 
 def _gates_stay_in_box(fast, rng, t_end, n_states):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstlab import EllipsePath, InvalidParameterError, ellipse_point, \
-    ellipse_rhs, integrate, path_extent
+from burstlab import EllipsePath, InvalidParameterError, integrate
 
 PATH = EllipsePath.centered(0.7, 5.35, 2.0, 0.0, 0.009)
 
@@ -106,18 +105,18 @@ def test_period_and_extent_consistency(d, ca0, eps):
     if abs(ca0 - ca_c) < 1e-6:
         ca0 = ca_c + 0.1
     p = EllipsePath.centered(ca_c, na_c, d, ca0, eps)
-    (ca_rng, na_rng, delta) = path_extent(p)
+    (ca_rng, na_rng, delta) = p.extent()
     assert delta == pytest.approx(abs(ca0 - ca_c))
     assert ca_rng[1] - ca_rng[0] == pytest.approx(2 * delta)
     assert na_rng[1] - na_rng[0] == pytest.approx(2 * delta / d)
     # closed form stays inside the stated ranges over a full period
     for t in np.linspace(0, p.period, 37):
-        ca, na = ellipse_point(p, t)
+        ca, na = p.point(t)
         assert ca_rng[0] - 1e-9 <= ca <= ca_rng[1] + 1e-9
         assert na_rng[0] - 1e-9 <= na <= na_rng[1] + 1e-9
     # rotation field matches the time derivative of the closed form
     t = 0.3 * p.period
     h = 1e-6
-    fd = (np.array(ellipse_point(p, t + h)) - np.array(ellipse_point(p, t - h))) / (2 * h)
-    assert np.allclose(ellipse_rhs(ellipse_point(p, t), p), fd,
+    fd = (np.array(p.point(t + h)) - np.array(p.point(t - h))) / (2 * h)
+    assert np.allclose(p.rhs(p.point(t)), fd,
                        rtol=1e-5, atol=1e-8)
