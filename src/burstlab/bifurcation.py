@@ -2,15 +2,19 @@
 
 All equilibria of both fast subsystems have their gate variables slaved to
 the voltage, so the equilibrium set is the zero set of a scalar function
-G(v; Ca, Na) = v' evaluated at the gate-slaved state. At such a state the
-Jacobian determinant is a positive multiple of dG/dv, so folds are located
-as simultaneous roots of (G, dG/dv); this is the determinant form of the
-extended fold system. Hopf points are roots in Ca of the real part of the
-complex eigenvalue pair at the depolarized equilibrium.
+G(v; Ca, Na) = v' evaluated at the gate-slaved state. Roots of G are
+bracketed by its sign changes on a fixed voltage grid, which the model
+evaluates in one numpy pass (g_array); Newton on the full rhs and the
+eigenvalues stay scalar.
 
-Roots of G are bracketed by its sign changes on a fixed voltage grid, which
-the model evaluates in one numpy pass (g_array); Newton on the full rhs,
-the eigenvalues and the fold and Hopf solvers stay scalar.
+Ca enters G only through the CAN conductance a = g_CAN x_CAN(Ca), and G is
+affine in a. So at fixed Na the equilibria of every Ca lie on one explicit
+branch a(v) (the model's can_branch), and Ca follows from a by inverting
+the CAN gate. Both curves are traced on it, each Na node on its own: the
+fold is the hyperpolarized local maximum of a(v), where two equilibria
+merge (at a fold the Jacobian determinant, a positive multiple of dG/dv,
+vanishes); the Hopf point is where Re of the complex eigenvalue pair
+changes sign along the depolarized part of the branch.
 
 The computed fold curve is labeled SNIC; the invariant-cycle property is
 checked separately by period divergence (verify_snic) rather than by
@@ -25,19 +29,25 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
+
+from .model import can_activation, can_calcium
 
 log = logging.getLogger(__name__)
 
 # voltage grid for root scanning; the hyperpolarized equilibrium can sit
 # below -80 mV at low Ca, so this is wider than the Newton seed grid
 _V_GRID = np.linspace(-110.0, 30.0, 281)
+_V_TOL = 1e-13          # mV, Brent tolerance of every curve point
+_FD_STEP = 1e-5         # mV, centred difference of a(v) at the fold
+_HOPF_SAMPLES = 17      # Re(lambda) samples along the depolarized branch
 
 DEFAULT_NA_RANGE = (4.8, 6.4)
 DEFAULT_CA_WINDOW = (-0.2, 1.6)
 
 
 class ContinuationError(RuntimeError):
-    """A curve point could not be located or polished."""
+    """No point of a curve could be located anywhere in the window."""
 
 
 @dataclass(frozen=True)
@@ -54,15 +64,6 @@ class Equilibrium:
     @property
     def v(self) -> float:
         return self.state[0]
-
-
-def _scalar_g(fast, v: float, slow) -> float:
-    return fast.rhs(fast.slaved(v), slow)[0]
-
-
-def _scalar_g_dv(fast, v: float, slow, step: float = 1e-6) -> float:
-    return (_scalar_g(fast, v + step, slow)
-            - _scalar_g(fast, v - step, slow)) / (2.0 * step)
 
 
 def newton_equilibrium(fast, v0: float, slow, tol: float = 1e-12,
@@ -172,15 +173,16 @@ def depolarized_equilibrium(fast, slow) -> Optional[Equilibrium]:
                        branch=len(brackets) - 1, residual=res)
 
 
+def _pair_real(eigenvalues) -> Optional[float]:
+    """Re of the complex pair among the eigenvalues, or None if none."""
+    pairs = [z.real for z in eigenvalues if abs(z.imag) > 1e-9]
+    return max(pairs) if pairs else None
+
+
 def hopf_test(fast, slow) -> Optional[float]:
     """Re of the complex pair at the depolarized equilibrium, or None."""
     eq = depolarized_equilibrium(fast, slow)
-    if eq is None:
-        return None
-    pairs = [z for z in eq.eigenvalues if abs(z.imag) > 1e-9]
-    if not pairs:
-        return None
-    return max(z.real for z in pairs)
+    return None if eq is None else _pair_real(eq.eigenvalues)
 
 
 @dataclass
@@ -294,206 +296,125 @@ def read_curves(path) -> dict:
     return out
 
 
-def _fold_newton(fast, v0: float, ca0: float, na: float, max_iter: int = 40):
-    """Newton on (G, dG/dv) = 0 in unknowns (v, Ca) at fixed Na.
+def _fold_point(fast, na: float, ca_window) -> Optional[tuple]:
+    """(v, Ca) of the fold at this Na, or None if it is not in the window.
 
-    The dG/dv residual is finite-differenced, with a noise floor around
-    1e-10, so convergence accepts either small residuals or a stalled step.
+    The fold is the hyperpolarized local maximum of the equilibrium branch
+    a(v): the CAN conductance above which the lower two of the three
+    equilibria are gone. The grid maximum is polished as a root of the
+    centred difference of a(v).
     """
-    v, ca = v0, ca0
-    hv, hc = 1e-6, 1e-7
-    for _ in range(max_iter):
-        g = _scalar_g(fast, v, (ca, na))
-        gv = _scalar_g_dv(fast, v, (ca, na))
-        if abs(g) < 1e-11 and abs(gv) < 5e-9:
-            return v, ca
-        g_vp = _scalar_g(fast, v + hv, (ca, na))
-        g_vm = _scalar_g(fast, v - hv, (ca, na))
-        g_cp = _scalar_g(fast, v, (ca + hc, na))
-        g_cm = _scalar_g(fast, v, (ca - hc, na))
-        gv_cp = _scalar_g_dv(fast, v, (ca + hc, na))
-        gv_cm = _scalar_g_dv(fast, v, (ca - hc, na))
-        j11 = (g_vp - g_vm) / (2.0 * hv)           # dG/dv
-        j12 = (g_cp - g_cm) / (2.0 * hc)           # dG/dCa
-        j21 = (_scalar_g_dv(fast, v + hv, (ca, na))
-               - _scalar_g_dv(fast, v - hv, (ca, na))) / (2.0 * hv)
-        j22 = (gv_cp - gv_cm) / (2.0 * hc)
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        dv = (-g * j22 + gv * j12) / det
-        dca = (-gv * j11 + g * j21) / det
-        v += dv
-        ca += dca
-        if not (-150.0 < v < 80.0):
-            return None
-        if abs(dv) < 1e-9 and abs(dca) < 1e-12 and abs(g) < 1e-10:
-            return v, ca
-    return None
+    a = fast.can_branch(_V_GRID, na)
+    peaks = np.nonzero((a[1:-1] > a[:-2]) & (a[1:-1] >= a[2:]))[0]
+    if not len(peaks):
+        return None
+    i = peaks[0] + 1
+
+    def slope(v):
+        lo, hi = fast.can_branch(np.array([v - _FD_STEP, v + _FD_STEP]), na)
+        return hi - lo
+
+    v = brentq(slope, _V_GRID[i - 1], _V_GRID[i + 1], xtol=_V_TOL)
+    a_fold = fast.can_branch(v, na)
+    a_lo, a_hi = sorted(fast.params.g_can * can_activation(ca, fast.params)
+                        for ca in ca_window)
+    if not a_lo <= a_fold <= a_hi:
+        return None
+    return v, float(can_calcium(a_fold, fast.params))
 
 
-def _fold_seed(fast, na: float, ca_window) -> Optional[tuple]:
-    """Bracket the 3<->1 equilibrium-count change in Ca and seed the fold."""
-    lo, hi = ca_window
-    grid = np.linspace(lo, hi, 91)
-    counts = [equilibrium_count(fast, (ca, na)) for ca in grid]
-    for i in range(len(grid) - 1):
-        if counts[i] >= 3 and counts[i + 1] < 3:
-            a, b = grid[i], grid[i + 1]
-            for _ in range(30):
-                mid = 0.5 * (a + b)
-                if equilibrium_count(fast, (mid, na)) >= 3:
-                    a = mid
-                else:
-                    b = mid
-            ca = 0.5 * (a + b)
-            # merging pair: the two closest roots of G
-            brackets = _root_brackets(fast, (a, na))
-            if len(brackets) < 3:
-                return None
-            mids = [0.5 * (x + y) for x, y in brackets]
-            gaps = [mids[i + 1] - mids[i] for i in range(len(mids) - 1)]
-            j = int(np.argmin(gaps))
-            v = 0.5 * (mids[j] + mids[j + 1])
-            return v, ca
-    return None
+def _hopf_point(fast, na: float, ca_window) -> Optional[tuple]:
+    """(v, Ca) of the Hopf point at this Na, or None if there is none in
+    the window.
+
+    The depolarized equilibria over the window form one branch of a(v),
+    between the depolarized equilibria at the window's two ends, along
+    which Ca is monotone. Re of the complex pair is sampled along it in v
+    and its first sign change polished by Brent. Ca(v) is so steep there
+    (the branch spans under 1 mV) that the search runs in v, not in Ca.
+    """
+    ends = []
+    for ca in ca_window:
+        brackets = _root_brackets(fast, (ca, na))
+        if not brackets:
+            return None
+        ends.append(brentq(fast.g_array, *brackets[-1], args=((ca, na),),
+                           xtol=_V_TOL))
+
+    def pair_real(v):
+        ca = float(can_calcium(fast.can_branch(v, na), fast.params))
+        r = _pair_real(eigen(fast, fast.slaved(v), (ca, na)))
+        return math.nan if r is None else r
+
+    vs = np.linspace(*ends, _HOPF_SAMPLES)
+    r = np.array([pair_real(v) for v in vs])
+    flips = np.nonzero(np.sign(r[1:]) * np.sign(r[:-1]) < 0)[0]
+    if not len(flips):
+        return None
+    v = brentq(pair_real, vs[flips[0]], vs[flips[0] + 1], xtol=_V_TOL)
+    return v, float(can_calcium(fast.can_branch(v, na), fast.params))
+
+
+def _trace(kind: str, locate, fast, na_range, step: float,
+           ca_window) -> BifCurve:
+    """Locate a curve point at each node of the Na grid, independently.
+
+    Nodes without a point before the first one found are skipped and flag
+    the curve truncated_low; the first such node after it ends the curve.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"curve step must be a positive number, not {step!r}")
+    na_lo, na_hi = na_range
+    pts = []
+    truncated_low = False
+    for na in np.arange(na_lo, na_hi + 0.5 * step, step):
+        point = locate(fast, na, ca_window)
+        if point is None:
+            if pts:
+                log.info("%s lost at Na=%.4g; truncating", kind, na)
+                break
+            truncated_low = True
+            continue
+        v, ca = point
+        state, slow = fast.slaved(v), (ca, na)
+        if kind == "SNIC":
+            res = abs(float(np.linalg.det(np.array(fast.jacobian(state, slow)))))
+        else:
+            r = _pair_real(eigen(fast, state, slow))
+            res = math.nan if r is None else abs(r)
+        pts.append((na, ca, res))
+    if not pts:
+        raise ContinuationError(f"no {kind} point found anywhere in the window")
+    return BifCurve(kind=kind,
+                    ca=np.array([p[1] for p in pts]),
+                    na=np.array([p[0] for p in pts]),
+                    residual=np.array([p[2] for p in pts]),
+                    truncated_low=truncated_low,
+                    truncated_high=pts[-1][0] < na_hi - 0.5 * step)
 
 
 def trace_fold_curve(fast, na_range=DEFAULT_NA_RANGE, step: float = 0.01,
                      ca_window=DEFAULT_CA_WINDOW) -> BifCurve:
     """Trace the fold (SNIC candidate) curve as a graph over Na.
 
-    Sweeps Na upward; each point solves the determinant-form extended fold
-    system seeded from the previous point. The curve is truncated, with the
-    corresponding flag set, where the fold leaves the Ca window or no longer
-    exists (the three-equilibria wedge closes at low Na).
+    Each Na node is solved on its own, as the hyperpolarized maximum of the
+    equilibrium branch a(v); the residual column is |det J| there. The
+    curve is truncated, with the corresponding flag set, where the fold
+    leaves the Ca window or no longer exists (the three-equilibria wedge
+    closes at low Na).
     """
-    na_lo, na_hi = na_range
-    nas = np.arange(na_lo, na_hi + 0.5 * step, step)
-    pts = []
-    truncated_low = False
-    prev = None
-    for na in nas:
-        sol = None
-        if prev is not None:
-            sol = _fold_newton(fast, prev[0], prev[1], na)
-        if sol is None:
-            seed = _fold_seed(fast, na, ca_window)
-            if seed is not None:
-                sol = _fold_newton(fast, seed[0], seed[1], na)
-        if sol is None:
-            if not pts:
-                truncated_low = True
-                continue
-            log.info("fold lost at Na=%.4g; truncating", na)
-            break
-        v, ca = sol
-        if not (ca_window[0] <= ca <= ca_window[1]):
-            if not pts:
-                truncated_low = True
-                prev = sol
-                continue
-            break
-        state = fast.slaved(v)
-        jac = np.array(fast.jacobian(state, (ca, na)))
-        det = float(np.linalg.det(jac))
-        pts.append((na, ca, abs(det)))
-        prev = sol
-    if not pts:
-        raise ContinuationError("no fold found anywhere in the window")
-    truncated_high = pts[-1][0] < na_hi - 0.5 * step
-    return BifCurve(kind="SNIC",
-                    ca=np.array([p[1] for p in pts]),
-                    na=np.array([p[0] for p in pts]),
-                    residual=np.array([p[2] for p in pts]),
-                    truncated_low=truncated_low,
-                    truncated_high=truncated_high)
-
-
-def _hopf_bisect(fast, na: float, ca_lo: float, ca_hi: float,
-                 r_lo: float) -> Optional[float]:
-    lo, hi = ca_lo, ca_hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r = hopf_test(fast, (mid, na))
-        if r is None:
-            return None
-        if abs(r) < 1e-9 or hi - lo < 1e-13:
-            return mid
-        if (r > 0) == (r_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _trace("SNIC", _fold_point, fast, na_range, step, ca_window)
 
 
 def trace_hopf_curve(fast, na_range=DEFAULT_NA_RANGE, step: float = 0.01,
                      ca_window=DEFAULT_CA_WINDOW) -> BifCurve:
     """Trace the Andronov-Hopf curve as a graph over Na.
 
-    For each Na the sign change of Re of the complex pair on the depolarized
-    branch is bracketed (seeded from the previous point) and polished by
-    bisection. Truncates where the pair becomes real or leaves the window.
+    Each Na node is solved on its own, as the first sign change of Re of
+    the complex pair along the depolarized branch of a(v); the residual
+    column is |Re| there. Truncates where no sign change lies in the window.
     """
-    na_lo, na_hi = na_range
-    nas = np.arange(na_lo, na_hi + 0.5 * step, step)
-    pts = []
-    truncated_low = False
-    prev_ca = None
-    for na in nas:
-        ca_star = None
-        if prev_ca is not None:
-            # expand a small bracket around the previous point
-            width = 0.02
-            while width <= 0.3:
-                lo = prev_ca - width
-                hi = prev_ca + width
-                r_lo = hopf_test(fast, (lo, na))
-                r_hi = hopf_test(fast, (hi, na))
-                if r_lo is not None and r_hi is not None and (r_lo > 0) != (r_hi > 0):
-                    ca_star = _hopf_bisect(fast, na, lo, hi, r_lo)
-                    break
-                width *= 2.0
-        if ca_star is None:
-            ca_star = _hopf_scan(fast, na, ca_window)
-        if ca_star is None:
-            if not pts:
-                truncated_low = True
-                continue
-            log.info("Hopf lost at Na=%.4g; truncating", na)
-            break
-        if not (ca_window[0] <= ca_star <= ca_window[1]):
-            if not pts:
-                truncated_low = True
-                prev_ca = ca_star
-                continue
-            break
-        r = hopf_test(fast, (ca_star, na))
-        pts.append((na, ca_star, abs(r) if r is not None else math.nan))
-        prev_ca = ca_star
-    if not pts:
-        raise ContinuationError("no Hopf point found anywhere in the window")
-    truncated_high = pts[-1][0] < na_hi - 0.5 * step
-    return BifCurve(kind="AH",
-                    ca=np.array([p[1] for p in pts]),
-                    na=np.array([p[0] for p in pts]),
-                    residual=np.array([p[2] for p in pts]),
-                    truncated_low=truncated_low,
-                    truncated_high=truncated_high)
-
-
-def _hopf_scan(fast, na: float, ca_window) -> Optional[float]:
-    grid = np.arange(ca_window[0], ca_window[1], 0.02)
-    prev = None
-    for ca in grid:
-        r = hopf_test(fast, (ca, na))
-        if r is None:
-            prev = None
-            continue
-        if prev is not None and (prev[1] > 0) != (r > 0):
-            return _hopf_bisect(fast, na, prev[0], ca, prev[1])
-        prev = (ca, r)
-    return None
+    return _trace("AH", _hopf_point, fast, na_range, step, ca_window)
 
 
 @dataclass(frozen=True)

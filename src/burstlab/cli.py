@@ -195,7 +195,10 @@ def cmd_simulate(args) -> int:
 def cmd_bifcurves(args) -> int:
     fast = figures.model_for(args.model)
     na_range = _parse_pair(args.na_range, "na_range")
-    snic = trace_fold_curve(fast, na_range=na_range, step=args.step)
+    try:
+        snic = trace_fold_curve(fast, na_range=na_range, step=args.step)
+    except ValueError as exc:       # a step that is not a positive number
+        raise UsageError(str(exc)) from None
     ah = trace_hopf_curve(fast, na_range=na_range, step=args.step)
     write_curves(args.out, snic, ah)
     print(f"wrote {args.out} (SNIC {len(snic)} pts, AH {len(ah)} pts)")

@@ -10,7 +10,8 @@ balance is written once, as a core that takes those two numbers, and every
 form is derived from it: frozen (Ca, Na) for the equilibria and landscapes,
 an imposed elliptic path for the driven models, the biological slow
 equations for the autonomous models, and a numpy form for the equilibrium
-scan. The readable six-current reference lives in tests/oracles.py, apart
+scan and for the equilibrium branch that the bifurcation curves are traced
+on. The readable six-current reference lives in tests/oracles.py, apart
 from this code.
 
 State is passed as plain tuples of floats, which is the fastest
@@ -223,6 +224,13 @@ def _slow_currents(p: ModelParams):
     return slow_currents
 
 
+def can_calcium(a_can, p: ModelParams):
+    """Ca at which the CAN conductance g_CAN x_CAN(Ca) equals a_can, for
+    0 < a_can < g_CAN: the inverse of the CAN gate in _slow_currents.
+    Takes floats or numpy arrays."""
+    return p.k_can + p.sigma_can * np.log(p.g_can / a_can - 1.0)
+
+
 def _slow_rhs(p: ModelParams):
     """(v, s, Ca, a_can, i_pump) -> (Ca', Na') of the biological slow
     equations: IP3-driven calcium release and sodium entry through CAN
@@ -243,6 +251,7 @@ class _FastSubsystem:
     def __init__(self, params: ModelParams):
         self.params = params
         self._core = self._make_core(params)
+        self._array_core = self._make_core(params, sig=_sig_array, cosh=np.cosh)
         self._slow_currents = _slow_currents(params)
 
     def __reduce__(self):
@@ -251,6 +260,29 @@ class _FastSubsystem:
 
     def rhs(self, y, slow):
         return self._core(*y, *self._slow_currents(*slow))
+
+    def g_array(self, vs, slow):
+        """v' at the gate-slaved states of a voltage array, (Ca, Na) frozen.
+
+        The equilibrium scan calls this instead of rhs, so a subclass that
+        changes the rhs must change this too.
+        """
+        return self._array_core(*self._slaved_array(vs),
+                                *self._slow_currents(*slow))[0]
+
+    def can_branch(self, vs, na: float):
+        """The CAN conductance a at which the gate-slaved state of each
+        voltage is an equilibrium, Na frozen.
+
+        v' is affine in a, so a(v) = G(v; 0) / (G(v; 0) - G(v; 1)) with
+        G(v; a) = v' at the gate-slaved state. The pole at v = E_CAN, where
+        a drops out of v', reads as +-inf. Like g_array, this bypasses rhs.
+        """
+        y = self._slaved_array(vs)
+        i_pump = self._slow_currents(0.0, na)[1]    # independent of Ca
+        g0 = self._array_core(*y, 0.0, i_pump)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return g0 / (g0 - self._array_core(*y, 1.0, i_pump)[0])
 
 
 class ReducedFast(_FastSubsystem):
@@ -277,16 +309,9 @@ class ReducedFast(_FastSubsystem):
         p = self.params
         return (v, gate_inf(v, p.theta_n, p.sigma_n))
 
-    def g_array(self, vs, slow):
-        """v' at the gate-slaved states of a voltage array, (Ca, Na) frozen.
-
-        The equilibrium scan calls this instead of rhs, so a subclass that
-        changes the rhs must change this too.
-        """
+    def _slaved_array(self, vs):
         p = self.params
-        core = _fast2_core(p, sig=_sig_array, cosh=np.cosh)
-        n = _sig_array((vs - p.theta_n) / p.sigma_n)
-        return core(vs, n, *self._slow_currents(*slow))[0]
+        return vs, _sig_array((vs - p.theta_n) / p.sigma_n)
 
     def driven_rhs(self, path):
         """State (v, n, Ca, Na); the slow pair follows the path's rotation
@@ -350,18 +375,12 @@ class FullFast(_FastSubsystem):
                 gate_inf(v, p.theta_h, p.sigma_h),
                 s_slaved(v, p))
 
-    def g_array(self, vs, slow):
-        """v' at the gate-slaved states of a voltage array, (Ca, Na) frozen.
-
-        The equilibrium scan calls this instead of rhs, so a subclass that
-        changes the rhs must change this too.
-        """
+    def _slaved_array(self, vs):
         p = self.params
         n, m, h, si = (_sig_array((vs - theta) / sigma) for theta, sigma in (
             (p.theta_n, p.sigma_n), (p.theta_m, p.sigma_m),
             (p.theta_h, p.sigma_h), (p.theta_s, p.sigma_s)))
-        core = _fast5_core(p, sig=_sig_array, cosh=np.cosh)
-        return core(vs, n, m, h, si / (si + p.k), *self._slow_currents(*slow))[0]
+        return vs, n, m, h, si / (si + p.k)
 
     def driven_rhs(self, path):
         """State (v, n, m, h, s, Ca, Na), the path as for ReducedFast."""

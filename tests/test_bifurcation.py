@@ -4,7 +4,8 @@ import pytest
 from burstlab.bifurcation import (DEFAULT_CA_WINDOW, DEFAULT_NA_RANGE,
                                   _V_GRID, BifCurve, _root_brackets, eigen,
                                   equilibrium_count, find_equilibria,
-                                  hopf_test, read_curves, verify_snic,
+                                  hopf_test, read_curves, trace_fold_curve,
+                                  trace_hopf_curve, verify_snic,
                                   write_curves)
 from burstlab.model import ReducedFast
 
@@ -167,6 +168,31 @@ def test_hopf_against_sign_scan_oracle(reduced, curves2):
     _, ah = curves2
     na = 5.85
     assert abs(ah.ca_at(na) - hopf_ca_oracle(reduced, na)) < 1e-3
+
+
+def test_full_curves_against_oracles(full, curves5):
+    snic, ah = curves5
+    na = 5.35
+    assert abs(snic.ca_at(na) - fold_ca_oracle(full, na)) < 1e-3
+    assert abs(ah.ca_at(na) - hopf_ca_oracle(full, na)) < 1e-3
+
+
+def test_truncation_flags(curves2, curves5):
+    # over CURVE_RANGES both folds start only where the three-equilibria
+    # wedge opens, and the reduced AH curve leaves the Ca window at high Na
+    flags = [(c.truncated_low, c.truncated_high) for c in (*curves2, *curves5)]
+    assert flags == [(True, False), (False, True), (True, False), (False, False)]
+
+
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_curve_nodes_do_not_depend_on_range(model, request):
+    # a node traced alone gives the same Ca, bit for bit, as in the full trace
+    fast = request.getfixturevalue(model)
+    curves = request.getfixturevalue("curves2" if model == "reduced" else "curves5")
+    for curve, trace in zip(curves, (trace_fold_curve, trace_hopf_curve)):
+        for i in np.linspace(0, len(curve) - 1, 8).astype(int):
+            na = float(curve.na[i])
+            assert trace(fast, na_range=(na, na)).ca.tolist() == [curve.ca[i]]
 
 
 def test_verify_snic_positive(reduced, curves2):

@@ -106,6 +106,13 @@ def test_bifcurves_command(tmp_path):
     assert set(curves) == {"SNIC", "AH"}
 
 
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+def test_bifcurves_rejects_bad_step(tmp_path, step):
+    rc = cli.main(["bifcurves", "--na_range", "5.3:5.5", "--step", step,
+                   "--out", str(tmp_path / "curves.csv")])
+    assert rc == cli.EXIT_USAGE
+
+
 def test_landscape_command_small(tmp_path):
     field = tmp_path / "field.csv"
     cont = tmp_path / "contours.csv"

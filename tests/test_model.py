@@ -12,9 +12,9 @@ import burstlab
 from burstlab import FULL7D, REDUCED4D, EllipsePath, InvalidParameterError
 from burstlab.bifurcation import DEFAULT_CA_WINDOW, DEFAULT_NA_RANGE
 from burstlab.integrate import integrate
-from burstlab.model import (FullFast, can_activation, fd_jacobian, gate_inf,
-                            gate_inf_dv, gate_tau, gate_tau_dv, jac_fast4, phi,
-                            s_slaved)
+from burstlab.model import (FullFast, can_activation, can_calcium,
+                            fd_jacobian, gate_inf, gate_inf_dv, gate_tau,
+                            gate_tau_dv, jac_fast4, phi, s_slaved)
 
 
 def test_gate_inf_midpoint():
@@ -196,6 +196,29 @@ def test_every_rhs_form_matches_oracle(model, request):
         _assert_close(aut[:fast.dim], ref)
         _assert_close(aut[fast.dim:], rhs_slow7(lifted, slow, p))
         _assert_close(fast.g_array(np.array([y[0]]), slow), [g_ref])
+
+
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_can_branch_points_are_equilibria(model, request):
+    # at Ca = can_calcium(a(v)) the gate-slaved state at v is an equilibrium
+    # of the six-current reference
+    fast = request.getfixturevalue(model)
+    p = fast.params
+    vs = np.linspace(-110.0, 30.0, 1401)
+    checked = 0
+    for na in (4.8, 5.6, 6.4):
+        a = fast.can_branch(vs, na)
+        for v, a_v in zip(vs, a):
+            if not 1e-6 < a_v / p.g_can < 1.0 - 1e-6:
+                continue
+            slow = (float(can_calcium(a_v, p)), na)
+            if fast.dim == 2:
+                g = rhs_fast4((v, gate_inf(v, p.theta_n, p.sigma_n)), slow, p)[0]
+            else:
+                g = rhs_fast7(fast.slaved(v), slow, p)[0]
+            assert abs(g) < 1e-9, (v, na, g)
+            checked += 1
+    assert checked > 20
 
 
 @pytest.mark.parametrize("model", ["reduced", "full"])
