@@ -4,8 +4,9 @@ All equilibria of both fast subsystems have their gate variables slaved to
 the voltage, so the equilibrium set is the zero set of a scalar function
 G(v; Ca, Na) = v' evaluated at the gate-slaved state. Roots of G are
 bracketed by its sign changes on a fixed voltage grid, which the model
-evaluates in one numpy pass (g_array); Newton on the full rhs and the
-eigenvalues stay scalar.
+evaluates in one numpy pass (g_array), and each bracket holds one
+equilibrium voltage, polished by Brent on G; the state is the gate-slaved
+state there. The eigenvalues stay scalar.
 
 Ca enters G only through the CAN conductance a = g_CAN x_CAN(Ca), and G is
 affine in a. So at fixed Na the equilibria of every Ca lie on one explicit
@@ -35,10 +36,10 @@ from .model import can_activation, can_calcium
 
 log = logging.getLogger(__name__)
 
-# voltage grid for root scanning; the hyperpolarized equilibrium can sit
-# below -80 mV at low Ca, so this is wider than the Newton seed grid
+# voltage grid for root scanning; wide enough to hold the hyperpolarized
+# equilibrium, which can sit below -80 mV at low Ca
 _V_GRID = np.linspace(-110.0, 30.0, 281)
-_V_TOL = 1e-13          # mV, Brent tolerance of every curve point
+_V_TOL = 1e-13          # mV, Brent tolerance of every equilibrium voltage
 _FD_STEP = 1e-5         # mV, centred difference of a(v) at the fold
 _HOPF_SAMPLES = 17      # Re(lambda) samples along the depolarized branch
 
@@ -66,33 +67,6 @@ class Equilibrium:
         return self.state[0]
 
 
-def newton_equilibrium(fast, v0: float, slow, tol: float = 1e-12,
-                       max_iter: int = 60) -> Optional[tuple]:
-    """Newton iteration on the full fast rhs from a gate-slaved seed.
-
-    Steps are damped to 20 mV in voltage; iterates leaving the physically
-    sensible box are treated as divergence.
-    """
-    y = list(fast.slaved(v0))
-    for _ in range(max_iter):
-        try:
-            f = fast.rhs(tuple(y), slow)
-            jac = np.array(fast.jacobian(tuple(y), slow))
-            dy = np.linalg.solve(jac, np.negative(f))
-        except (np.linalg.LinAlgError, ZeroDivisionError, OverflowError):
-            return None
-        if not np.all(np.isfinite(dy)):
-            return None
-        scale = min(1.0, 20.0 / abs(dy[0])) if dy[0] != 0.0 else 1.0
-        for i, d in enumerate(dy):
-            y[i] += scale * d
-        if not (-150.0 < y[0] < 80.0):
-            return None
-        if max(abs(x) for x in f) < tol and np.abs(dy).max() < 1e-9:
-            return tuple(y)
-    return None
-
-
 def eigen(fast, state, slow):
     """Eigenvalues of the fast-subsystem Jacobian at a state.
 
@@ -113,38 +87,6 @@ def eigen(fast, state, slow):
     return tuple(complex(x) for x in sorted(ev, key=lambda z: (z.real, z.imag)))
 
 
-def find_equilibria(fast, slow, v_seeds=None, merge_tol: float = 1e-6):
-    """All distinct equilibria found by Newton from a deterministic seed grid.
-
-    Seeds run over v in [-80, 20] mV with gates at their voltage-slaved
-    fixed points. Duplicates are merged by state-space distance; results are
-    ordered by voltage and carry branch ids in that order (0 is the most
-    hyperpolarized).
-    """
-    if v_seeds is None:
-        v_seeds = [-80.0 + 2.5 * i for i in range(41)]
-    roots: list[tuple] = []
-    for v0 in v_seeds:
-        y = newton_equilibrium(fast, v0, slow)
-        if y is None:
-            continue
-        if not (-150.0 < y[0] < 60.0):
-            continue
-        if all(math.dist(y, r) > merge_tol for r in roots):
-            roots.append(y)
-    roots.sort(key=lambda r: r[0])
-    out = []
-    for i, y in enumerate(roots):
-        ev = eigen(fast, y, slow)
-        res = max(abs(x) for x in fast.rhs(y, slow))
-        out.append(Equilibrium(
-            state=y, slow=tuple(slow), eigenvalues=ev,
-            stable=max(z.real for z in ev) < 0.0, branch=i, residual=res))
-    if not out:
-        log.debug("no equilibria converged at slow=%s", slow)
-    return out
-
-
 def _root_brackets(fast, slow):
     vs = _V_GRID
     sgn = np.sign(fast.g_array(vs, slow))
@@ -152,25 +94,33 @@ def _root_brackets(fast, slow):
     return [(vs[i], vs[i + 1]) for i in idx]
 
 
+def _bracket_root(fast, bracket, slow) -> float:
+    """The equilibrium voltage inside a scan bracket: the root of G."""
+    return brentq(fast.g_array, *bracket, args=(slow,), xtol=_V_TOL)
+
+
 def equilibrium_count(fast, slow) -> int:
     """Number of equilibria via sign changes of the scalar reduction."""
     return len(_root_brackets(fast, slow))
 
 
-def depolarized_equilibrium(fast, slow) -> Optional[Equilibrium]:
-    """The equilibrium with the largest voltage, or None."""
-    brackets = _root_brackets(fast, slow)
-    if not brackets:
-        return None
-    lo, hi = brackets[-1]
-    y = newton_equilibrium(fast, 0.5 * (lo + hi), slow)
-    if y is None or not (lo - 1.0 <= y[0] <= hi + 1.0):
-        return None
-    ev = eigen(fast, y, slow)
-    res = max(abs(x) for x in fast.rhs(y, slow))
-    return Equilibrium(state=y, slow=tuple(slow), eigenvalues=ev,
-                       stable=max(z.real for z in ev) < 0.0,
-                       branch=len(brackets) - 1, residual=res)
+def find_equilibria(fast, slow) -> list:
+    """All equilibria, one per sign change of G on the scan grid.
+
+    Each is the gate-slaved state at the root of G in its bracket. Results
+    are ordered by voltage and carry branch ids in that order (0 is the
+    most hyperpolarized); the residual is the largest |component| of the
+    fast rhs there.
+    """
+    out = []
+    for i, bracket in enumerate(_root_brackets(fast, slow)):
+        y = fast.slaved(_bracket_root(fast, bracket, slow))
+        ev = eigen(fast, y, slow)
+        res = max(abs(x) for x in fast.rhs(y, slow))
+        out.append(Equilibrium(
+            state=y, slow=tuple(slow), eigenvalues=ev,
+            stable=max(z.real for z in ev) < 0.0, branch=i, residual=res))
+    return out
 
 
 def _pair_real(eigenvalues) -> Optional[float]:
@@ -181,8 +131,11 @@ def _pair_real(eigenvalues) -> Optional[float]:
 
 def hopf_test(fast, slow) -> Optional[float]:
     """Re of the complex pair at the depolarized equilibrium, or None."""
-    eq = depolarized_equilibrium(fast, slow)
-    return None if eq is None else _pair_real(eq.eigenvalues)
+    brackets = _root_brackets(fast, slow)
+    if not brackets:
+        return None
+    v = _bracket_root(fast, brackets[-1], slow)
+    return _pair_real(eigen(fast, fast.slaved(v), slow))
 
 
 @dataclass
@@ -338,8 +291,7 @@ def _hopf_point(fast, na: float, ca_window) -> Optional[tuple]:
         brackets = _root_brackets(fast, (ca, na))
         if not brackets:
             return None
-        ends.append(brentq(fast.g_array, *brackets[-1], args=((ca, na),),
-                           xtol=_V_TOL))
+        ends.append(_bracket_root(fast, brackets[-1], (ca, na)))
 
     def pair_real(v):
         ca = float(can_calcium(fast.can_branch(v, na), fast.params))

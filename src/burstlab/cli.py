@@ -15,9 +15,10 @@ from . import figures, svg
 from .bifurcation import (ContinuationError, read_curves, trace_fold_curve,
                           trace_hopf_curve, write_curves)
 from .config import UsageError, check_keys, get_float, get_span, load_config
-from .features import (ClassificationError, FeatureVector, burst_features,
-                       run_autonomous, run_driven, segment_stages)
-from .fit import FitProblem, fit_path
+from .features import (DEFAULT_WEIGHTS, ClassificationError, FeatureVector,
+                       burst_features, run_autonomous, run_driven,
+                       segment_stages)
+from .fit import PATH_PARAMS, FitProblem, fit_path
 from .integrate import StepSizeError, integrate
 from .landscape import PERIOD, RE_LAMBDA, GridSpec, build_field, extract_contours
 from .paths import EllipsePath
@@ -35,9 +36,7 @@ _FIT_KEYS = tuple(f"path.{k}" for k in PATH_KEYS) + (
     "fit.model", "fit.target", "fit.budget", "fit.seed", "fit.free",
     "fit.rel_tol", "fit.abs_tol",
 ) + tuple(f"fit.bounds.{k}" for k in PATH_KEYS) \
-  + tuple(f"fit.weights.{k}" for k in (
-      "period", "first_spike_delay", "isi", "amp_min", "amp_max",
-      "ah_interval", "stage_v_count", "v_floor"))
+  + tuple(f"fit.weights.{k}" for k in DEFAULT_WEIGHTS)
 
 
 def main(argv=None) -> int:
@@ -169,6 +168,17 @@ def _tols(cfg: dict):
             get_float(cfg, "sim.abs_tol", 1e-8))
 
 
+def _curves(path: str, fast):
+    """SNIC and AH curves from a bifcurves CSV, or traced if path is empty."""
+    if not path:
+        return figures.compute_curves(fast)
+    curves = read_curves(path)
+    try:
+        return curves["SNIC"], curves["AH"]
+    except KeyError as exc:
+        raise UsageError(f"curve file lacks {exc} rows") from None
+
+
 def cmd_simulate(args) -> int:
     cfg = _merged_config(args, _SIM_KEYS)
     model = cfg.get("model", "")
@@ -251,14 +261,7 @@ def cmd_features(args) -> int:
         raise UsageError(f"model must be set (got {model!r})")
     fast = figures.model_for(model)
     rel_tol, abs_tol = _tols(cfg)
-    if args.curves:
-        curves = read_curves(args.curves)
-        try:
-            snic, ah = curves["SNIC"], curves["AH"]
-        except KeyError as exc:
-            raise UsageError(f"curve file lacks {exc} rows") from None
-    else:
-        snic, ah = figures.compute_curves(fast)
+    snic, ah = _curves(args.curves, fast)
     if model.startswith("driven"):
         trace = run_driven(fast, _path_from(cfg), snic, ah,
                            rel_tol=rel_tol, abs_tol=abs_tol)
@@ -290,15 +293,11 @@ def cmd_fit(args) -> int:
     if not target_path:
         raise UsageError("fit.target (a features CSV) is required")
     target = FeatureVector.from_csv(target_path)
-    if args.curves:
-        curves = read_curves(args.curves)
-        snic, ah = curves["SNIC"], curves["AH"]
-    else:
-        snic, ah = figures.compute_curves(fast)
+    snic, ah = _curves(args.curves, fast)
     free = [k.strip() for k in cfg.get("fit.free", "d,ca0").split(",") if k.strip()]
     bounds = {}
     fixed = {}
-    for key in ("ca_c", "na_c", "d", "ca0", "eps"):
+    for key in PATH_PARAMS:
         bkey = f"fit.bounds.{key}"
         if key in free:
             if bkey not in cfg:
@@ -307,8 +306,7 @@ def cmd_fit(args) -> int:
         else:
             fixed[key] = get_float(cfg, f"path.{key}")
     weights = {}
-    for key in ("period", "first_spike_delay", "isi", "amp_min", "amp_max",
-                "ah_interval", "stage_v_count", "v_floor"):
+    for key in DEFAULT_WEIGHTS:
         wkey = f"fit.weights.{key}"
         if wkey in cfg:
             weights[key] = get_float(cfg, wkey)

@@ -10,16 +10,17 @@ from bisection on the equilibrium count, Hopf locations from a sign scan of
 the eigenvalue real part, and contour points from one-dimensional bisection
 along a fixed-Na ray. Scans run at 1e-4 steps inside a coarse bracket.
 Equilibria are bracketed by a scalar scan, one rhs call per grid voltage,
-rather than by the models' array form of G.
+rather than by the models' array form of G, and solved by Newton on the
+full fast rhs rather than by Brent on G.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from burstlab.bifurcation import (_V_GRID, Equilibrium, eigen,
-                                  newton_equilibrium)
+from burstlab.bifurcation import _V_GRID, Equilibrium, eigen
 from burstlab.model import can_activation, gate_inf, gate_tau, phi, s_slaved
 from burstlab.params import ModelParams
 
@@ -106,6 +107,33 @@ def scalar_root_brackets(fast, slow):
     sgn = np.sign(g)
     idx = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0]
     return [(_V_GRID[i], _V_GRID[i + 1]) for i in idx]
+
+
+def newton_equilibrium(fast, v0: float, slow, tol: float = 1e-12,
+                       max_iter: int = 60) -> Optional[tuple]:
+    """Newton iteration on the full fast rhs from a gate-slaved seed.
+
+    Steps are damped to 20 mV in voltage; iterates leaving the physically
+    sensible box are treated as divergence.
+    """
+    y = list(fast.slaved(v0))
+    for _ in range(max_iter):
+        try:
+            f = fast.rhs(tuple(y), slow)
+            jac = np.array(fast.jacobian(tuple(y), slow))
+            dy = np.linalg.solve(jac, np.negative(f))
+        except (np.linalg.LinAlgError, ZeroDivisionError, OverflowError):
+            return None
+        if not np.all(np.isfinite(dy)):
+            return None
+        scale = min(1.0, 20.0 / abs(dy[0])) if dy[0] != 0.0 else 1.0
+        for i, d in enumerate(dy):
+            y[i] += scale * d
+        if not (-150.0 < y[0] < 80.0):
+            return None
+        if max(abs(x) for x in f) < tol and np.abs(dy).max() < 1e-9:
+            return tuple(y)
+    return None
 
 
 def scalar_relambda(fast, slow):

@@ -10,6 +10,7 @@ from burstlab.bifurcation import (DEFAULT_CA_WINDOW, DEFAULT_NA_RANGE,
 from burstlab.model import ReducedFast
 
 from oracles import (fold_ca_oracle, fold_equilibrium, hopf_ca_oracle,
+                     rhs_fast4, rhs_fast7, scalar_relambda,
                      scalar_root_brackets)
 
 
@@ -135,12 +136,31 @@ def _slow_samples(seed, n=300):
 
 @pytest.mark.parametrize("model", ["reduced", "full"])
 def test_array_scan_matches_scalar_scan(model, request):
+    # the array scan, the equilibria solved in its brackets and hopf_test
+    # against the scalar scan, the six-current rhs and Newton; on the
+    # Na = 12 row the reduced model's depolarized equilibrium is a node
     fast = request.getfixturevalue(model)
-    for slow in _slow_samples(17):
+    rhs = rhs_fast4 if fast.dim == 2 else rhs_fast7
+    re_tol = 1e-12 if fast.dim == 2 else 1e-7   # finite-difference Jacobian
+    extra = [(ca, 12.0) for ca in (-0.2, 0.0, 0.8, 1.6)]
+    nodes = 0
+    for slow in [*_slow_samples(17), *extra]:
         g = fast.g_array(_V_GRID, slow)
         ref = np.array([fast.rhs(fast.slaved(v), slow)[0] for v in _V_GRID])
         assert np.all(np.abs(g - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
-        assert _root_brackets(fast, slow) == scalar_root_brackets(fast, slow)
+        brackets = scalar_root_brackets(fast, slow)
+        assert _root_brackets(fast, slow) == brackets
+        eqs = find_equilibria(fast, slow)
+        assert len(eqs) == len(brackets)
+        for eq in eqs:
+            assert max(map(abs, rhs(eq.state, slow, fast.params))) < 1e-9, slow
+        re, re_ref = hopf_test(fast, slow), scalar_relambda(fast, slow)
+        assert (re is None) == (re_ref is None), slow
+        if re is None:
+            nodes += 1
+        else:
+            assert abs(re - re_ref) <= re_tol, slow
+    assert nodes == (2 if fast.dim == 2 else 0)
 
 
 def test_equilibrium_count_on_subclass_overriding_rhs(reduced):

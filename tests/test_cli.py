@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -156,13 +157,36 @@ def test_fit_command(tmp_path, curves2, fig4_d1_trace):
     assert log_csv.read_text().splitlines()[0] == "d,distance,db,sequence"
 
 
+@pytest.mark.parametrize("command", ["features", "fit"])
+def test_curve_file_without_ah_rows_is_usage_error(tmp_path, curves2,
+                                                   fig4_d1_trace, command):
+    from burstlab.features import burst_features
+    curves_csv = tmp_path / "curves.csv"
+    write_curves(curves_csv, curves2[0])
+    target_csv = tmp_path / "target.csv"
+    burst_features(fig4_d1_trace).to_csv(target_csv)
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"fit.target = {target_csv}\nfit.free = d\n"
+                   "fit.bounds.d = 0.7:1.4\npath.ca_c = 0.15\n"
+                   "path.na_c = 5.85\npath.ca0 = 0\npath.eps = 0.004\n")
+    args = {"features": ["--model", "driven4d", "--ca_c", "0.15",
+                         "--na_c", "5.85", "--d", "1", "--ca0", "0",
+                         "--eps", "0.004"],
+            "fit": ["--config", str(cfg)]}[command]
+    rc = cli.main([command, *args, "--curves", str(curves_csv),
+                   "--out", str(tmp_path / "out.csv")])
+    assert rc == cli.EXIT_USAGE
+
+
 def test_unknown_figure_rejected():
     rc = cli.main(["figure", "fig99"])
     assert rc == cli.EXIT_USAGE
 
 
 def test_console_entry_point_help():
+    # the child imports burstlab from where this process found it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-m", "burstlab.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
