@@ -6,14 +6,15 @@ G(v; Ca, Na) = v' evaluated at the gate-slaved state. Roots of G are
 bracketed by its sign changes on a fixed voltage grid, which the model
 evaluates in one numpy pass (g_array), and each bracket holds one
 equilibrium voltage, polished by Brent on G; the state is the gate-slaved
-state there. The eigenvalues stay scalar.
+state there. The eigenvalues stay scalar, from the model's complex-step
+Jacobian.
 
 Ca enters G only through the CAN conductance a = g_CAN x_CAN(Ca), and G is
 affine in a. So at fixed Na the equilibria of every Ca lie on one explicit
 branch a(v) (the model's can_branch), and Ca follows from a by inverting
 the CAN gate. Both curves are traced on it, each Na node on its own: the
 fold is the hyperpolarized local maximum of a(v), where two equilibria
-merge (at a fold the Jacobian determinant, a positive multiple of dG/dv,
+merge (at a fold the Jacobian determinant, a nonzero multiple of dG/dv,
 vanishes); the Hopf point is where Re of the complex eigenvalue pair
 changes sign along the depolarized part of the branch.
 
@@ -40,7 +41,6 @@ log = logging.getLogger(__name__)
 # equilibrium, which can sit below -80 mV at low Ca
 _V_GRID = np.linspace(-110.0, 30.0, 281)
 _V_TOL = 1e-13          # mV, Brent tolerance of every equilibrium voltage
-_FD_STEP = 1e-5         # mV, centred difference of a(v) at the fold
 _HOPF_SAMPLES = 17      # Re(lambda) samples along the depolarized branch
 
 DEFAULT_NA_RANGE = (4.8, 6.4)
@@ -254,20 +254,22 @@ def _fold_point(fast, na: float, ca_window) -> Optional[tuple]:
 
     The fold is the hyperpolarized local maximum of the equilibrium branch
     a(v): the CAN conductance above which the lower two of the three
-    equilibria are gone. The grid maximum is polished as a root of the
-    centred difference of a(v).
+    equilibria are gone. The grid maximum is polished as the root of det J
+    along the branch, taken at a(v) itself: Ca(a) is undefined where a(v)
+    leaves (0, g_CAN).
     """
     a = fast.can_branch(_V_GRID, na)
     peaks = np.nonzero((a[1:-1] > a[:-2]) & (a[1:-1] >= a[2:]))[0]
     if not len(peaks):
         return None
     i = peaks[0] + 1
+    i_pump = fast._slow_currents(0.0, na)[1]
 
-    def slope(v):
-        lo, hi = fast.can_branch(np.array([v - _FD_STEP, v + _FD_STEP]), na)
-        return hi - lo
+    def det(v):
+        jac = fast._jacobian(fast.slaved(v), float(fast.can_branch(v, na)), i_pump)
+        return np.linalg.det(np.array(jac))
 
-    v = brentq(slope, _V_GRID[i - 1], _V_GRID[i + 1], xtol=_V_TOL)
+    v = brentq(det, _V_GRID[i - 1], _V_GRID[i + 1], xtol=_V_TOL)
     a_fold = fast.can_branch(v, na)
     a_lo, a_hi = sorted(fast.params.g_can * can_activation(ca, fast.params)
                         for ca in ca_window)

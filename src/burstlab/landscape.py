@@ -8,6 +8,7 @@ interpolation; cells touching undefined nodes are skipped.
 """
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -18,6 +19,8 @@ import numpy as np
 
 from . import bifurcation
 from .integrate import StepSizeError, detect_events, integrate
+
+log = logging.getLogger(__name__)
 
 PERIOD = "PERIOD"
 RE_LAMBDA = "RE_LAMBDA"
@@ -30,7 +33,7 @@ def sweep_workers() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            log.warning("ignoring BURSTLAB_THREADS=%r: not an integer", env)
     return max(1, os.cpu_count() or 1)
 
 

@@ -9,16 +9,17 @@ through the CAN conductance and the pump current. So each subsystem's current
 balance is written once, as a core that takes those two numbers, and every
 form is derived from it: frozen (Ca, Na) for the equilibria and landscapes,
 an imposed elliptic path for the driven models, the biological slow
-equations for the autonomous models, and a numpy form for the equilibrium
+equations for the autonomous models, a numpy form for the equilibrium
 scan and for the equilibrium branch that the bifurcation curves are traced
-on. The readable six-current reference lives in tests/oracles.py, apart
-from this code.
+on, and a complex form whose complex step gives the Jacobian. The readable
+six-current reference lives in tests/oracles.py, apart from this code.
 
 State is passed as plain tuples of floats, which is the fastest
 representation for systems of this size.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -44,6 +45,15 @@ def _sig_array(x):
     return expit(-x)
 
 
+def _csig(x: complex) -> complex:
+    # _sig for the complex step, guarded on the real part
+    if x.real > 700.0:
+        return 0.0
+    if x.real < -700.0:
+        return 1.0
+    return 1.0 / (1.0 + cmath.exp(x))
+
+
 def gate_inf(v: float, theta: float, sigma: float) -> float:
     """Steady-state activation 1/(1 + exp((v - theta)/sigma)).
 
@@ -52,12 +62,6 @@ def gate_inf(v: float, theta: float, sigma: float) -> float:
     if sigma == 0:
         raise InvalidParameterError("gate slope sigma must be nonzero")
     return _sig((v - theta) / sigma)
-
-
-def gate_inf_dv(v: float, theta: float, sigma: float) -> float:
-    """d/dv of gate_inf."""
-    x = gate_inf(v, theta, sigma)
-    return -x * (1.0 - x) / sigma
 
 
 def gate_tau(v: float, t_x: float, theta: float, sigma: float) -> float:
@@ -73,13 +77,6 @@ def gate_tau(v: float, t_x: float, theta: float, sigma: float) -> float:
     if abs(x) > 700.0:
         return 0.0
     return t_x / math.cosh(x)
-
-
-def gate_tau_dv(v: float, t_x: float, theta: float, sigma: float) -> float:
-    """d/dv of gate_tau."""
-    x = (v - theta) / (2.0 * sigma)
-    tau = gate_tau(v, t_x, theta, sigma)
-    return -tau * math.tanh(x) / (2.0 * sigma)
 
 
 def phi(na: float, k_na: float) -> float:
@@ -99,60 +96,14 @@ def s_slaved(v: float, p: ModelParams) -> float:
     return si / (si + p.k)
 
 
-def jac_fast4(state, slow, p: ModelParams):
-    """Analytic 2x2 Jacobian of the reduced fast subsystem at (v, n),
-    (Ca, Na) frozen."""
-    v, n = state
-    ca, _na = slow
-    m = gate_inf(v, p.theta_m, p.sigma_m)
-    dm = -m * (1.0 - m) / p.sigma_m
-    si = gate_inf(v, p.theta_s, p.sigma_s)
-    dsi = -si * (1.0 - si) / p.sigma_s
-    s_al = si / (si + p.k)
-    ds_al = p.k * dsi / (si + p.k) ** 2
-    h = 1.0 - 1.08 * n
-    a_can = p.g_can * can_activation(ca, p)
-
-    f_v = -(p.g_l
-            + p.g_k * n ** 4
-            + p.g_na * (3.0 * m * m * dm * h * (v - p.e_na) + m ** 3 * h)
-            + p.g_syn * (ds_al * (v - p.e_syn) + s_al)
-            + a_can) / p.c
-    f_n = -(p.g_k * 4.0 * n ** 3 * (v - p.e_k)
-            - 1.08 * p.g_na * m ** 3 * (v - p.e_na)) / p.c
-
-    ninf = gate_inf(v, p.theta_n, p.sigma_n)
-    dninf = -ninf * (1.0 - ninf) / p.sigma_n
-    tau = gate_tau(v, p.t_n, p.theta_n, p.sigma_n)
-    dtau = gate_tau_dv(v, p.t_n, p.theta_n, p.sigma_n)
-    g_v = dninf / tau - (ninf - n) * dtau / (tau * tau)
-    g_n = -1.0 / tau
-    return ((f_v, f_n), (g_v, g_n))
-
-
-def fd_jacobian(f, y, step: float = 1e-6):
-    """Centered finite-difference Jacobian of a tuple-valued f(y)."""
-    y = list(y)
-    n = len(y)
-    cols = []
-    for j in range(n):
-        yj = y[j]
-        y[j] = yj + step
-        fp = f(tuple(y))
-        y[j] = yj - step
-        fm = f(tuple(y))
-        y[j] = yj
-        cols.append([(a - b) / (2.0 * step) for a, b in zip(fp, fm)])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # The current balance, written once per fast subsystem. Each builder captures
 # the parameters as closure locals, the fastest lookup in CPython, and takes
 # the sigmoid and cosh as arguments: _sig and math.cosh for the integrator's
-# tuples, _sig_array and np.cosh for numpy arrays. The operation order in the
-# cores and in _slow_currents fixes driven and autonomous runs to the last
-# digit; reordering it changes every stored trace.
+# tuples, _sig_array and np.cosh for numpy arrays, _csig and cmath.cosh for
+# the complex-step Jacobian. The operation order in the cores and in
+# _slow_currents fixes driven and autonomous runs to the last digit;
+# reordering it changes every stored trace.
 
 def _fast2_core(p: ModelParams, sig=_sig, cosh=math.cosh):
     """(v, n, a_can, i_pump) -> (v', n') of the reduced fast subsystem."""
@@ -245,6 +196,9 @@ def _slow_rhs(p: ModelParams):
     return slow_rhs
 
 
+_STEP = 1e-30     # complex step of the Jacobian
+
+
 class _FastSubsystem:
     """What both fast subsystems derive from their core alone."""
 
@@ -252,6 +206,7 @@ class _FastSubsystem:
         self.params = params
         self._core = self._make_core(params)
         self._array_core = self._make_core(params, sig=_sig_array, cosh=np.cosh)
+        self._complex_core = self._make_core(params, sig=_csig, cosh=cmath.cosh)
         self._slow_currents = _slow_currents(params)
 
     def __reduce__(self):
@@ -260,6 +215,19 @@ class _FastSubsystem:
 
     def rhs(self, y, slow):
         return self._core(*y, *self._slow_currents(*slow))
+
+    def jacobian(self, y, slow):
+        """Jacobian of the fast rhs at y, (Ca, Na) frozen, as row tuples.
+        Like g_array, this bypasses rhs."""
+        return self._jacobian(y, *self._slow_currents(*slow))
+
+    def _jacobian(self, y, a_can, i_pump):
+        # complex step: column j is Im core(y + ih e_j) / h, exact to rounding
+        # because nothing is subtracted
+        core = self._complex_core
+        cols = [core(*y[:j], complex(yj, _STEP), *y[j + 1:], a_can, i_pump)
+                for j, yj in enumerate(y)]
+        return tuple(tuple(d.imag / _STEP for d in row) for row in zip(*cols))
 
     def g_array(self, vs, slow):
         """v' at the gate-slaved states of a voltage array, (Ca, Na) frozen.
@@ -301,9 +269,6 @@ class ReducedFast(_FastSubsystem):
             return core(v, n, a_can, i_pump)
 
         return rhs
-
-    def jacobian(self, y, slow):
-        return jac_fast4(y, slow, self.params)
 
     def slaved(self, v: float):
         p = self.params
@@ -362,10 +327,6 @@ class FullFast(_FastSubsystem):
             return core(v, n, m, h, s, a_can, i_pump)
 
         return rhs
-
-    def jacobian(self, y, slow, step: float = 1e-6):
-        rhs = self.frozen_rhs(slow)
-        return fd_jacobian(lambda yy: rhs(0.0, yy), y, step)
 
     def slaved(self, v: float):
         p = self.params

@@ -11,16 +11,20 @@ the eigenvalue real part, and contour points from one-dimensional bisection
 along a fixed-Na ray. Scans run at 1e-4 steps inside a coarse bracket.
 Equilibria are bracketed by a scalar scan, one rhs call per grid voltage,
 rather than by the models' array form of G, and solved by Newton on the
-full fast rhs rather than by Brent on G.
+full fast rhs rather than by Brent on G. The Jacobian is the oracle's own,
+not the models' complex step: the hand-derived jac_fast4 for the reduced
+subsystem and a centred finite difference of rhs_fast7 for the full one,
+with eigenvalues from numpy's QR iteration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from burstlab.bifurcation import _V_GRID, Equilibrium, eigen
+from burstlab.bifurcation import _V_GRID, Equilibrium
 from burstlab.model import can_activation, gate_inf, gate_tau, phi, s_slaved
 from burstlab.params import ModelParams
 
@@ -92,6 +96,74 @@ def rhs_fast4(state, slow, p: ModelParams):
     return (dv, dn)
 
 
+def gate_tau_dv(v: float, t_x: float, theta: float, sigma: float) -> float:
+    """d/dv of gate_tau."""
+    x = (v - theta) / (2.0 * sigma)
+    tau = gate_tau(v, t_x, theta, sigma)
+    return -tau * math.tanh(x) / (2.0 * sigma)
+
+
+def jac_fast4(state, slow, p: ModelParams):
+    """Analytic 2x2 Jacobian of the reduced fast subsystem at (v, n),
+    (Ca, Na) frozen."""
+    v, n = state
+    ca, _na = slow
+    m = gate_inf(v, p.theta_m, p.sigma_m)
+    dm = -m * (1.0 - m) / p.sigma_m
+    si = gate_inf(v, p.theta_s, p.sigma_s)
+    dsi = -si * (1.0 - si) / p.sigma_s
+    s_al = si / (si + p.k)
+    ds_al = p.k * dsi / (si + p.k) ** 2
+    h = 1.0 - 1.08 * n
+    a_can = p.g_can * can_activation(ca, p)
+
+    f_v = -(p.g_l
+            + p.g_k * n ** 4
+            + p.g_na * (3.0 * m * m * dm * h * (v - p.e_na) + m ** 3 * h)
+            + p.g_syn * (ds_al * (v - p.e_syn) + s_al)
+            + a_can) / p.c
+    f_n = -(p.g_k * 4.0 * n ** 3 * (v - p.e_k)
+            - 1.08 * p.g_na * m ** 3 * (v - p.e_na)) / p.c
+
+    ninf = gate_inf(v, p.theta_n, p.sigma_n)
+    dninf = -ninf * (1.0 - ninf) / p.sigma_n
+    tau = gate_tau(v, p.t_n, p.theta_n, p.sigma_n)
+    dtau = gate_tau_dv(v, p.t_n, p.theta_n, p.sigma_n)
+    g_v = dninf / tau - (ninf - n) * dtau / (tau * tau)
+    g_n = -1.0 / tau
+    return ((f_v, f_n), (g_v, g_n))
+
+
+def fd_jacobian(f, y, step: float = 1e-6):
+    """Centered finite-difference Jacobian of a tuple-valued f(y)."""
+    y = list(y)
+    n = len(y)
+    cols = []
+    for j in range(n):
+        yj = y[j]
+        y[j] = yj + step
+        fp = f(tuple(y))
+        y[j] = yj - step
+        fm = f(tuple(y))
+        y[j] = yj
+        cols.append([(a - b) / (2.0 * step) for a, b in zip(fp, fm)])
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def oracle_jacobian(fast, state, slow):
+    """jac_fast4 for the reduced subsystem, the FD of rhs_fast7 for the
+    full one."""
+    p = fast.params
+    if fast.dim == 2:
+        return jac_fast4(state, slow, p)
+    return fd_jacobian(lambda y: rhs_fast7(y, slow, p), state)
+
+
+def _eigvals(fast, state, slow):
+    return tuple(complex(z) for z in np.linalg.eigvals(
+        np.array(oracle_jacobian(fast, state, slow))))
+
+
 def _g(fast, v, slow):
     # v' at the gate-slaved state
     return fast.rhs(fast.slaved(v), slow)[0]
@@ -120,7 +192,7 @@ def newton_equilibrium(fast, v0: float, slow, tol: float = 1e-12,
     for _ in range(max_iter):
         try:
             f = fast.rhs(tuple(y), slow)
-            jac = np.array(fast.jacobian(tuple(y), slow))
+            jac = np.array(oracle_jacobian(fast, tuple(y), slow))
             dy = np.linalg.solve(jac, np.negative(f))
         except (np.linalg.LinAlgError, ZeroDivisionError, OverflowError):
             return None
@@ -145,7 +217,7 @@ def scalar_relambda(fast, slow):
     y = newton_equilibrium(fast, 0.5 * (lo + hi), slow)
     if y is None or not (lo - 1.0 <= y[0] <= hi + 1.0):
         return None
-    pairs = [z.real for z in eigen(fast, y, slow) if abs(z.imag) > 1e-9]
+    pairs = [z.real for z in _eigvals(fast, y, slow) if abs(z.imag) > 1e-9]
     return max(pairs) if pairs else None
 
 
@@ -178,7 +250,7 @@ def fold_equilibrium(fast, slow):
         return None
     res_g, v = min(candidates)
     state = fast.slaved(v)
-    ev = eigen(fast, state, slow)
+    ev = _eigvals(fast, state, slow)
     return Equilibrium(state=state, slow=tuple(slow), eigenvalues=ev,
                        stable=max(z.real for z in ev) < 0.0, branch=-1,
                        residual=res_g)

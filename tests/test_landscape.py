@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -231,10 +232,12 @@ def test_contours_csv(tmp_path):
     assert lines[1] == "1,0,0,5"
 
 
-def test_sweep_workers_env(monkeypatch):
+def test_sweep_workers_env(monkeypatch, caplog):
     monkeypatch.setenv("BURSTLAB_THREADS", "3")
     assert landscape.sweep_workers() == 3
     monkeypatch.setenv("BURSTLAB_THREADS", "bogus")
-    assert landscape.sweep_workers() >= 1
+    with caplog.at_level(logging.WARNING, logger="burstlab.landscape"):
+        assert landscape.sweep_workers() >= 1
+    assert "BURSTLAB_THREADS" in caplog.text and "'bogus'" in caplog.text
     monkeypatch.delenv("BURSTLAB_THREADS")
     assert landscape.sweep_workers() >= 1
