@@ -178,6 +178,15 @@ class BifCurve:
         frac = (na - nas[i]) / (nas[i + 1] - nas[i])
         return cas[i] + frac * (cas[i + 1] - cas[i])
 
+    def ca_at_array(self, na):
+        """ca_at on a numpy array of Na values."""
+        nas, cas = self.na, self.ca
+        if len(nas) == 1:
+            return np.full(np.shape(na), cas[0])
+        i = np.clip(np.searchsorted(nas, na, side="right") - 1, 0, len(nas) - 2)
+        frac = (na - nas[i]) / (nas[i + 1] - nas[i])
+        return cas[i] + frac * (cas[i + 1] - cas[i])
+
     def horizontal_offset(self, ca: float, na: float) -> float:
         """Signed horizontal distance Ca - Ca_curve(Na).
 

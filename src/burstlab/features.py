@@ -13,19 +13,26 @@ is the boundary event starting stage (i).
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .bifurcation import BifCurve, find_equilibria
-from .integrate import Trajectory, detect_events, integrate
+from .integrate import (EventRecord, Trajectory, append_closed_form,
+                        detect_events, integrate)
 from .paths import EllipsePath
+
+log = logging.getLogger(__name__)
 
 SPIKE_THRESHOLD = -20.0     # mV; spike peaks separate cleanly from
 SPIKE_REFRACTORY = 2.0      # subthreshold oscillation above this level
 _DENSE_DT = 0.02            # ms, resampling step for spike detection
+_SCAN_DT = 1.0              # ms, path crossing scan; integrate's max_step
+_LABELS = ("SNIC", "AH")
 
 
 class ClassificationError(RuntimeError):
@@ -50,6 +57,7 @@ class BurstTrace:
     spikes: tuple          # Spikes inside [t_start, t_end), by time
     model: str = ""
     path: Optional[EllipsePath] = None
+    start_fallback: bool = False   # no upward SNIC crossing: t_start is 0
 
     def sequence(self) -> tuple:
         return tuple((e.label, e.direction) for e in self.events)
@@ -109,11 +117,39 @@ def crossing_events(snic: BifCurve, ah: BifCurve):
     """
     fns = [lambda t, y: snic.horizontal_offset(y[-2], y[-1]),
            lambda t, y: ah.horizontal_offset(y[-2], y[-1])]
-    return fns, ["SNIC", "AH"]
+    return fns, list(_LABELS)
+
+
+def path_crossings(path: EllipsePath, snic: BifCurve, ah: BifCurve,
+                   t_end: float):
+    """(t, index, direction) of every SNIC (index 0) and AH (index 1)
+    crossing of the closed-form path over [0, t_end], by time.
+
+    The curves' horizontal offsets are scanned on a uniform grid no coarser
+    than the integrator's largest step, and each sign change is refined by
+    Brent's method on the scalar offset, as detect_events refines one on the
+    dense output.
+    """
+    ts = np.linspace(0.0, t_end, math.ceil(t_end / _SCAN_DT) + 1)
+    ca, na = path.point(ts, np.cos, np.sin)
+    found = []
+    for index, curve in enumerate((snic, ah)):
+        g = ca - curve.ca_at_array(na)
+        g0, g1 = g[:-1], g[1:]
+        offset = lambda t: curve.horizontal_offset(*path.point(t))
+        for k in np.nonzero(((g0 < 0.0) & (g1 >= 0.0))
+                            | ((g0 > 0.0) & (g1 <= 0.0)))[0]:
+            te = brentq(offset, ts[k], ts[k + 1], xtol=1e-12, rtol=8.9e-16)
+            found.append((te, index, 1 if g1[k] > g0[k] else -1))
+    return sorted(found)
+
+
+def _in_window(t, t0, t1):
+    return t0 - 1e-9 <= t < t1 - 1e-6
 
 
 def _window_events(events, t0, t1):
-    return tuple(e for e in events if t0 - 1e-9 <= e.t < t1 - 1e-6)
+    return tuple(e for e in events if _in_window(e.t, t0, t1))
 
 
 def _spikes_in_window(traj, t0, t1, threshold=SPIKE_THRESHOLD,
@@ -137,37 +173,39 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
                threshold: float = SPIKE_THRESHOLD) -> BurstTrace:
     """Simulate the driven system for one slow period and annotate it.
 
-    The fast variables start from the rest state at the path's initial
-    point; the cycle window starts at the first upward SNIC crossing so a
-    DB trace contains exactly one SNIC, AH, AH, SNIC sequence.
+    The slow pair follows the path in closed form, so the SNIC and AH
+    crossings come from the path alone, before any integration. The cycle
+    window starts at the first upward SNIC crossing, so a DB trace contains
+    exactly one SNIC, AH, AH, SNIC sequence; a path without one starts the
+    window at 0 and sets start_fallback. One integration of the fast
+    variables alone, from the rest state at the path's initial point, runs
+    to the window end; the path's (Ca, Na) is then appended as the last two
+    columns of the trajectory.
     """
-    rhs = fast.driven_rhs(path)
-    y0 = _rest_state(fast, (path.ca0, path.na0)) + (path.ca0, path.na0)
     period = path.period
-    fns, labels = crossing_events(snic, ah)
-    traj, events = detect_events(rhs, y0, (0.0, 1.6 * period), fns,
-                                 rel_tol=rel_tol, abs_tol=abs_tol, labels=labels)
-    t1 = _first_snic_up(events)
-    if t1 is None or t1 > 0.6 * period:
-        traj, events = detect_events(rhs, y0, (0.0, 2.2 * period), fns,
-                                     rel_tol=rel_tol, abs_tol=abs_tol,
-                                     labels=labels)
-        t1 = _first_snic_up(events)
-    if t1 is None:
+    crossings = path_crossings(path, snic, ah, 2.0 * period)
+    t1 = next((t for t, index, direction in crossings
+               if index == 0 and direction > 0), None)
+    fallback = t1 is None
+    if fallback:
+        log.debug("%s has no upward SNIC crossing; the window starts at 0",
+                  path)
         t1 = 0.0
     t2 = t1 + period
+    fast_traj = integrate(fast.path_rhs(path),
+                          _rest_state(fast, (path.ca0, path.na0)), (0.0, t2),
+                          rel_tol=rel_tol, abs_tol=abs_tol)
+    point = lambda t: path.point(t, np.cos, np.sin)
+    traj = append_closed_form(fast_traj, point, lambda t: path.rhs(point(t)))
+    window = [c for c in crossings if _in_window(c[0], t1, t2)]
+    events = tuple(
+        EventRecord(index=index, t=te, y=tuple(traj.sample(te).tolist()),
+                    direction=direction, label=_LABELS[index])
+        for te, index, direction in window)
     return BurstTrace(
-        trajectory=traj, t_start=t1, t_end=t2, period=period,
-        events=_window_events(events, t1, t2),
+        trajectory=traj, t_start=t1, t_end=t2, period=period, events=events,
         spikes=_spikes_in_window(traj, t1, t2, threshold),
-        model=f"driven-{fast.name}", path=path)
-
-
-def _first_snic_up(events):
-    for e in events:
-        if e.label == "SNIC" and e.direction > 0:
-            return e.t
-    return None
+        model=f"driven-{fast.name}", path=path, start_fallback=fallback)
 
 
 def run_autonomous(fast, snic: BifCurve, ah: BifCurve, seed=None,

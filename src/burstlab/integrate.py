@@ -48,6 +48,9 @@ _P = np.array([
      69997945.0 / 29380423.0],
 ])
 
+# the stage times of a step, as fractions of h
+_NODES = np.array([0.0, _C2, _C3, _C4, _C5, 1.0, 1.0])
+
 _MAX_FACTOR = 10.0
 _MIN_FACTOR = 0.2
 _SAFETY = 0.9
@@ -194,6 +197,31 @@ def _dense_eval(y0, h, k_step, x):
     return tuple(out)
 
 
+def _dense_coefficients(k):
+    """(n-1, 7, dim) stage derivatives -> (n-1, 4, dim) interpolant
+    coefficients."""
+    return np.einsum("sj,nsi->nji", _P, k)
+
+
+def append_closed_form(traj: Trajectory, y: Callable, dy: Callable) -> Trajectory:
+    """traj with columns appended for components known in closed form.
+
+    y and dy map a numpy array of times to a tuple of the components, or of
+    their time derivatives, each an array of the times' shape. The knots take
+    y exactly; the dense coefficients come from dy at the stage times of each
+    step, contracted as for the integrated columns, so sample() treats every
+    column alike.
+    """
+    ts = traj.ts
+    h = np.diff(ts)
+    stage_ts = ts[:-1, None] + h[:, None] * _NODES       # (n-1, 7)
+    k = np.stack(dy(stage_ts), axis=-1)                   # (n-1, 7, cols)
+    return Trajectory(
+        ts, np.hstack([traj.ys, np.column_stack(y(ts))]),
+        np.concatenate([traj._dense, _dense_coefficients(k)], axis=2),
+        traj.rel_tol, traj.abs_tol)
+
+
 def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
            max_steps=400_000):
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -296,9 +324,8 @@ def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
 
     ts_arr = np.array(ts)
     ys_arr = np.array(ys)
-    k_arr = np.array(ks)                      # (n-1, 7, dim)
-    dense = np.einsum("sj,nsi->nji", _P, k_arr)
-    traj = Trajectory(ts_arr, ys_arr, dense, rel_tol, abs_tol)
+    traj = Trajectory(ts_arr, ys_arr, _dense_coefficients(np.array(ks)),
+                      rel_tol, abs_tol)
     events.sort(key=lambda e: e.t)
     return traj, events
 

@@ -8,11 +8,13 @@ h = 1 - 1.08 n. The slow pair (Ca, Na) enters each fast subsystem only
 through the CAN conductance and the pump current. So each subsystem's current
 balance is written once, as a core that takes those two numbers, and every
 form is derived from it: frozen (Ca, Na) for the equilibria and landscapes,
-an imposed elliptic path for the driven models, the biological slow
-equations for the autonomous models, a numpy form for the equilibrium
-scan and for the equilibrium branch that the bifurcation curves are traced
-on, and a complex form whose complex step gives the Jacobian. The readable
-six-current reference lives in tests/oracles.py, apart from this code.
+an imposed elliptic path for the driven models (the fast state alone against
+the path's closed form, or the full state with the path's rotation field),
+the biological slow equations for the autonomous models, a numpy form for
+the equilibrium scan and for the equilibrium branch that the bifurcation
+curves are traced on, and a complex form whose complex step gives the
+Jacobian. The readable six-current reference lives in tests/oracles.py,
+apart from this code.
 
 State is passed as plain tuples of floats, which is the fastest
 representation for systems of this size.
@@ -216,6 +218,27 @@ class _FastSubsystem:
     def rhs(self, y, slow):
         return self._core(*y, *self._slow_currents(*slow))
 
+    def path_rhs(self, path):
+        """Fast state only; (Ca, Na) is the path's closed form at time t.
+        This is what run_driven integrates."""
+        core, slow_currents, point = self._core, self._slow_currents, path.point
+
+        def rhs(t, y):
+            return core(*y, *slow_currents(*point(t)))
+
+        return rhs
+
+    def driven_rhs(self, path):
+        """State (fast..., Ca, Na); the slow pair follows the path's rotation
+        field and does not feel the fast variables."""
+        core, slow_currents, field = self._core, self._slow_currents, path.rhs
+
+        def rhs(t, y):
+            slow = y[-2:]
+            return core(*y[:-2], *slow_currents(*slow)) + field(slow)
+
+        return rhs
+
     def jacobian(self, y, slow):
         """Jacobian of the fast rhs at y, (Ca, Na) frozen, as row tuples.
         Like g_array, this bypasses rhs."""
@@ -278,21 +301,6 @@ class ReducedFast(_FastSubsystem):
         p = self.params
         return vs, _sig_array((vs - p.theta_n) / p.sigma_n)
 
-    def driven_rhs(self, path):
-        """State (v, n, Ca, Na); the slow pair follows the path's rotation
-        field and does not feel the fast variables."""
-        core, slow_currents = self._core, self._slow_currents
-        eps_d, eps_over_d = path.eps * path.d, path.eps / path.d
-        ca_c, na_c = path.ca_c, path.na_c
-
-        def rhs(t, y):
-            v, n, ca, na = y
-            a_can, i_pump = slow_currents(ca, na)
-            dv, dn = core(v, n, a_can, i_pump)
-            return (dv, dn, -eps_d * (na - na_c), eps_over_d * (ca - ca_c))
-
-        return rhs
-
     def autonomous_rhs(self):
         """State (v, n, Ca, Na); the Ca equation sees the slaved s."""
         p = self.params
@@ -342,21 +350,6 @@ class FullFast(_FastSubsystem):
             (p.theta_n, p.sigma_n), (p.theta_m, p.sigma_m),
             (p.theta_h, p.sigma_h), (p.theta_s, p.sigma_s)))
         return vs, n, m, h, si / (si + p.k)
-
-    def driven_rhs(self, path):
-        """State (v, n, m, h, s, Ca, Na), the path as for ReducedFast."""
-        core, slow_currents = self._core, self._slow_currents
-        eps_d, eps_over_d = path.eps * path.d, path.eps / path.d
-        ca_c, na_c = path.ca_c, path.na_c
-
-        def rhs(t, y):
-            v, n, m, h, s, ca, na = y
-            a_can, i_pump = slow_currents(ca, na)
-            dv, dn, dm, dh, ds = core(v, n, m, h, s, a_can, i_pump)
-            return (dv, dn, dm, dh, ds,
-                    -eps_d * (na - na_c), eps_over_d * (ca - ca_c))
-
-        return rhs
 
     def autonomous_rhs(self):
         """State (v, n, m, h, s, Ca, Na)."""

@@ -4,6 +4,10 @@ A path is an ellipse with principal axes along the coordinate axes, traced
 counter-clockwise at constant angular speed eps. It can be evaluated in
 closed form or integrated as the linear rotation field EllipsePath.rhs; both
 views agree and the quadratic form Q below is conserved along the flow.
+Driven runs use the closed form: they integrate only the fast variables and
+read (Ca, Na) from EllipsePath.point. The rotation field remains for the
+full-state driven rhs of the fast subsystems, and it gives the path's
+velocity at any point.
 """
 from __future__ import annotations
 
@@ -47,10 +51,13 @@ class EllipsePath:
     def period(self) -> float:
         return 2.0 * math.pi / self.eps
 
-    def point(self, t: float):
-        """Closed-form position at time t (counter-clockwise from t = 0)."""
-        c = math.cos(self.eps * t)
-        s = math.sin(self.eps * t)
+    def point(self, t, cos=math.cos, sin=math.sin):
+        """Closed-form position at time t (counter-clockwise from t = 0).
+
+        Pass np.cos and np.sin to evaluate a numpy array of times.
+        """
+        c = cos(self.eps * t)
+        s = sin(self.eps * t)
         dca = self.ca0 - self.ca_c
         dna = self.na0 - self.na_c
         return (self.ca_c + dca * c - self.d * dna * s,

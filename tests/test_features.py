@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from burstlab import EllipsePath
 from burstlab.features import (ClassificationError, FeatureVector,
-                               burst_features, detect_spikes,
+                               burst_features, crossing_events, detect_spikes,
                                feature_distance, min_oscillation_amplitude,
-                               run_driven, segment_stages)
+                               path_crossings, run_driven, segment_stages)
+from burstlab.figures import PRESETS
+from burstlab.integrate import detect_events
 
 
 def test_detect_spikes_constant_below_threshold():
@@ -183,3 +186,83 @@ def test_min_oscillation_amplitude_monotone_segment(fig4_d1_trace):
     # silence has no oscillation to speak of next to the DB phase
     db = min_oscillation_amplitude(fig4_d1_trace, stages.iii[0], stages.v[0])
     assert amp == pytest.approx(0.0, abs=2.0) or amp < db
+
+
+@pytest.fixture(scope="module")
+def fig3_d2_trace(full, curves5):
+    return run_driven(full, PRESETS["fig3"].paths[1], *curves5)
+
+
+@pytest.mark.parametrize("name", ["fig4_d1_trace", "fig3_d2_trace"])
+def test_driven_slow_columns_follow_the_path(name, request):
+    # the integration stops at the window end, the slow pair is the path's
+    # closed form at the knots, the ellipse invariant holds to rounding, and
+    # the dense output of the slow columns meets the path at every crossing
+    trace = request.getfixturevalue(name)
+    path, traj = trace.path, trace.trajectory
+    assert traj.t1 == trace.t_end
+    exact = np.column_stack(path.point(traj.ts, np.cos, np.sin))
+    np.testing.assert_allclose(traj.ys[:, -2:], exact, rtol=0.0, atol=1e-14)
+    q = path.conserved((traj.ys[:, -2], traj.ys[:, -1]))
+    assert np.abs(q - q[0]).max() / q[0] <= 1e-12
+    assert len(trace.events) == 4
+    for e in trace.events:
+        gap = np.hypot(*(traj.sample(e.t)[-2:] - np.array(path.point(e.t))))
+        assert gap <= 1e-10 * path.delta
+        assert e.y == tuple(traj.sample(e.t))
+
+
+_DRIVEN_PATHS = [(name, i) for name in ("fig3", "fig4", "fig5", "fig7")
+                 for i in range(len(PRESETS[name].paths))]
+
+
+@pytest.mark.parametrize("name,i", _DRIVEN_PATHS)
+def test_path_crossings_match_integrated_events(name, i, request):
+    # independent check: the crossings found on the closed-form path against
+    # detect_events on the full driven state, whose slow pair is integrated
+    # through the rotation field
+    full = PRESETS[name].model == "driven7d"
+    fast = request.getfixturevalue("full" if full else "reduced")
+    snic, ah = request.getfixturevalue("curves5" if full else "curves2")
+    path = PRESETS[name].paths[i]
+    crossings = path_crossings(path, snic, ah, 2.0 * path.period)
+    t_end = next(t for t, index, direction in crossings
+                 if index == 0 and direction > 0) + path.period
+    fns, labels = crossing_events(snic, ah)
+    _, events = detect_events(fast.driven_rhs(path),
+                              fast.slaved(-60.0) + (path.ca0, path.na0),
+                              (0.0, t_end), fns, labels=labels)
+    got = [c for c in crossings if c[0] < t_end - 1e-6]
+    want = [e for e in events if e.t < t_end - 1e-6]
+    assert [(index, direction) for _, index, direction in got] == \
+        [(e.index, e.direction) for e in want]
+    for (t, _, _), e in zip(got, want):
+        assert t == pytest.approx(e.t, rel=1e-9)
+
+
+def test_late_snic_crossing_takes_one_integration(reduced, curves2,
+                                                  fig4_d1_path, fig4_d1_trace):
+    # started just past its upward SNIC crossing, the path meets the next
+    # one almost a period later; the window still holds one DB cycle and the
+    # integration stops at its end
+    p = fig4_d1_path
+    ca0, na0 = p.point(fig4_d1_trace.t_start + 5.0)
+    late = EllipsePath(ca_c=p.ca_c, na_c=p.na_c, d=p.d, ca0=ca0, na0=na0,
+                       eps=p.eps)
+    trace = run_driven(reduced, late, *curves2)
+    assert trace.t_start > 0.6 * late.period
+    assert trace.sequence_str() == "SNIC+,AH+,AH-,SNIC-"
+    segment_stages(trace)
+    assert trace.trajectory.t1 == trace.t_end
+    assert not trace.start_fallback
+
+
+def test_start_fallback_is_flagged(reduced, curves2, fig4_d1_trace, caplog):
+    # the path of test_classification_error_left_of_snic never crosses SNIC
+    path = EllipsePath.centered(-0.05, 5.5, 2.0, -0.08, 0.01)
+    with caplog.at_level(logging.DEBUG, logger="burstlab.features"):
+        trace = run_driven(reduced, path, *curves2)
+    assert trace.start_fallback
+    assert trace.t_start == 0.0
+    assert "no upward SNIC crossing" in caplog.text
+    assert not fig4_d1_trace.start_fallback
