@@ -3,8 +3,7 @@
 from .params import ModelParams, FULL7D, REDUCED4D, InvalidParameterError
 from .paths import EllipsePath
 from .model import ReducedFast, FullFast, gate_inf, gate_tau
-from .integrate import (integrate, detect_events, Trajectory,
-                        EventRecord, StepSizeError)
+from .integrate import detect_events, Trajectory, EventRecord, StepSizeError
 from .bifurcation import (Equilibrium, BifCurve, find_equilibria, eigen,
                           trace_fold_curve, trace_hopf_curve, verify_snic,
                           read_curves, write_curves)
@@ -23,7 +22,7 @@ __all__ = [
     "ModelParams", "FULL7D", "REDUCED4D", "InvalidParameterError",
     "EllipsePath",
     "ReducedFast", "FullFast", "gate_inf", "gate_tau",
-    "integrate", "detect_events", "Trajectory", "EventRecord",
+    "detect_events", "Trajectory", "EventRecord",
     "StepSizeError",
     "Equilibrium", "BifCurve", "find_equilibria", "eigen",
     "trace_fold_curve", "trace_hopf_curve", "verify_snic",

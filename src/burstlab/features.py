@@ -208,6 +208,22 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
         model=f"driven-{fast.name}", path=path, start_fallback=fallback)
 
 
+def _autonomous_run(fast, snic, ah, t_transient, t_budget, rel_tol, abs_tol,
+                    seed=None, slow0=(0.1, 5.0)):
+    """The autonomous model past a warm-up of t_transient ms, with every curve
+    crossing of the next t_budget ms: (Trajectory, events). Without a seed
+    the run starts from the gates slaved at -60 mV and (Ca, Na) = slow0."""
+    rhs = fast.autonomous_rhs()
+    if seed is None:
+        seed = fast.slaved(-60.0) + tuple(slow0)
+    warm = integrate(rhs, seed, (0.0, t_transient), rel_tol=rel_tol,
+                     abs_tol=abs_tol)
+    fns, labels = crossing_events(snic, ah)
+    return detect_events(rhs, tuple(warm.ys[-1]),
+                         (t_transient, t_transient + t_budget), fns,
+                         rel_tol=rel_tol, abs_tol=abs_tol, labels=labels)
+
+
 def run_autonomous(fast, snic: BifCurve, ah: BifCurve, seed=None,
                    t_transient: float = 2000.0, t_budget: float = 8000.0,
                    rel_tol: float = 1e-8, abs_tol: float = 1e-8,
@@ -224,16 +240,8 @@ def run_autonomous(fast, snic: BifCurve, ah: BifCurve, seed=None,
     runs between two consecutive surviving upward SNIC crossings and the
     measured recurrence time is the burst period.
     """
-    rhs = fast.autonomous_rhs()
-    if seed is None:
-        seed = fast.slaved(-60.0) + tuple(slow0)
-    warm = integrate(rhs, seed, (0.0, t_transient), rel_tol=rel_tol,
-                     abs_tol=abs_tol)
-    y1 = tuple(warm.ys[-1])
-    fns, labels = crossing_events(snic, ah)
-    traj, events = detect_events(rhs, y1, (t_transient, t_transient + t_budget),
-                                 fns, rel_tol=rel_tol, abs_tol=abs_tol,
-                                 labels=labels)
+    traj, events = _autonomous_run(fast, snic, ah, t_transient, t_budget,
+                                   rel_tol, abs_tol, seed, slow0)
     events = _debounce_events(events, traj, snic, ah, depth_frac)
     snic_ups = [e.t for e in events if e.label == "SNIC" and e.direction > 0]
     if len(snic_ups) < 2:

@@ -17,7 +17,8 @@ import numpy as np
 from . import svg
 from .bifurcation import trace_fold_curve, trace_hopf_curve, write_curves
 from .features import (BurstTrace, ClassificationError, FeatureVector,
-                       burst_features, run_autonomous, run_driven)
+                       _autonomous_run, _spikes_in_window, burst_features,
+                       run_autonomous, run_driven)
 from .landscape import (PERIOD, RE_LAMBDA, GridSpec, build_field,
                         extract_contours)
 from .model import FullFast, ReducedFast
@@ -179,19 +180,8 @@ def _state_columns(model: str):
 
 
 def _autonomous_raw(fast, snic, ah, preset, rel_tol, abs_tol):
-    from .features import crossing_events
-    from .integrate import detect_events, integrate
-
-    rhs = fast.autonomous_rhs()
-    seed = fast.slaved(-60.0) + (0.1, 5.0)
-    warm = integrate(rhs, seed, (0.0, preset.transient), rel_tol=rel_tol,
-                     abs_tol=abs_tol)
-    fns, labels = crossing_events(snic, ah)
-    traj, events = detect_events(
-        rhs, tuple(warm.ys[-1]),
-        (preset.transient, preset.transient + preset.budget), fns,
-        rel_tol=rel_tol, abs_tol=abs_tol, labels=labels)
-    from .features import _spikes_in_window
+    traj, events = _autonomous_run(fast, snic, ah, preset.transient,
+                                   preset.budget, rel_tol, abs_tol)
     return BurstTrace(trajectory=traj, t_start=traj.t0, t_end=traj.t1,
                       period=traj.t1 - traj.t0, events=tuple(events),
                       spikes=_spikes_in_window(traj, traj.t0, traj.t1),

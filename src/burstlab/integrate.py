@@ -1,14 +1,19 @@
 """Adaptive ODE integration with dense output and event detection.
 
 A single Dormand-Prince 5(4) engine serves every simulation in the package.
-States are plain tuples of floats: for systems of dimension 2 to 7 this is
+States are plain tuples of floats: for systems of dimension 1 to 7 this is
 considerably faster in CPython than array-based steppers, and the landscape
-sweeps need that throughput. Dense output uses the standard fourth-order
-interpolant of the pair; event times are localized on it by Brent's method,
-decoupled from step-size control.
+sweeps need that throughput. The tableau is written once, as data, and the
+step for each dimension is generated from it on first use as straight-line
+code over local floats: CPython charges for every loop iteration and tuple
+it builds, so a step that loops over components costs about a quarter more.
+Dense output uses the standard fourth-order interpolant of the pair; event
+times are localized on it by Brent's method, decoupled from step-size
+control.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -16,20 +21,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-# Dormand-Prince 5(4) tableau (FSAL: stage 7 evaluates at the new point)
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# Dormand-Prince 5(4) tableau. Stage s + 2 evaluates at t + _C[s + 1] h on
+# y + h sum_j _A[s][j] k_j; the pair is FSAL: the fifth-order weights _B give
+# the new point, where stage 7 evaluates. _E = b - b_hat weighs the error.
+_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+_A = (
+    (0.2,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+     -5103.0 / 18656.0),
+)
+_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+      11.0 / 84.0)
+_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+      22.0 / 525.0, -1.0 / 40.0)
 
 # Interpolant coefficients: y(t0 + x h) = y0 + h sum_j x^(j+1) (K^T P)[:, j]
 _P = np.array([
@@ -49,7 +56,7 @@ _P = np.array([
 ])
 
 # the stage times of a step, as fractions of h
-_NODES = np.array([0.0, _C2, _C3, _C4, _C5, 1.0, 1.0])
+_NODES = np.array(_C)
 
 _MAX_FACTOR = 10.0
 _MIN_FACTOR = 0.2
@@ -146,41 +153,40 @@ def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol, max_step):
     return min(100.0 * h0, h1, max_step)
 
 
-def _step_dim2(rhs, t, y, f, h, rel_tol, abs_tol):
-    # unrolled Dormand-Prince stage sweep for two-variable systems, the hot
-    # path of the PERIOD field: on 200 ms of the frozen reduced system a step
-    # costs about 1.4 times less than through the generic tuple branch of
-    # _solve (15.3 against 21.4 us, CPython 3.11 on one x86 core), with
-    # identical output
-    a0, a1 = y
-    k10, k11 = f
-    k20, k21 = rhs(t + _C2 * h, (a0 + h * _A21 * k10, a1 + h * _A21 * k11))
-    k30, k31 = rhs(t + _C3 * h, (a0 + h * (_A31 * k10 + _A32 * k20),
-                                 a1 + h * (_A31 * k11 + _A32 * k21)))
-    k40, k41 = rhs(t + _C4 * h, (a0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
-                                 a1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)))
-    k50, k51 = rhs(t + _C5 * h,
-                   (a0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
-                    a1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)))
-    k60, k61 = rhs(t + h,
-                   (a0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30
-                              + _A64 * k40 + _A65 * k50),
-                    a1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31
-                              + _A64 * k41 + _A65 * k51)))
-    b0 = a0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
-    b1 = a1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-    y_new = (b0, b1)
-    k70, k71 = rhs(t + h, y_new)
-    e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
-    e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-    sc0 = abs_tol + rel_tol * max(abs(a0), abs(b0))
-    sc1 = abs_tol + rel_tol * max(abs(a1), abs(b1))
-    r0 = e0 / sc0
-    r1 = e1 / sc1
-    err = math.sqrt(0.5 * (r0 * r0 + r1 * r1))
-    k_step = ((k10, k11), (k20, k21), (k30, k31), (k40, k41),
-              (k50, k51), (k60, k61), (k70, k71))
-    return y_new, k_step, err
+def _weighted(weights, i):
+    # h times the weighted sum of component i of the stage derivatives k_j,
+    # over the nonzero weights in stage order; a lone term is not bracketed,
+    # so it rounds as (h w) k, like the textbook stage-2 formula
+    terms = [f"{w!r} * k{j}_{i}" for j, w in enumerate(weights) if w]
+    return "h * " + (terms[0] if len(terms) == 1 else f"({' + '.join(terms)})")
+
+
+@functools.cache
+def _dopri_step(dim):
+    """The Dormand-Prince step for states of dimension dim, unrolled from
+    the tableau: step(rhs, t, y, f, h, rel_tol, abs_tol) -> (y_new, k_step,
+    err), with k_step the 7 stage derivatives (f first, f at y_new last) and
+    err the RMS norm of the local error scaled by the tolerances."""
+    def vec(fmt, **kw):
+        return ", ".join(fmt.format(i=i, **kw) for i in range(dim)) + ","
+
+    comps = range(dim)
+    src = ["def step(rhs, t, y, f, h, rel_tol, abs_tol):",
+           f"    {vec('y{i}')} = y", f"    {vec('k0_{i}')} = f"]
+    for s, (c, weights) in enumerate(zip(_C[1:], _A + (_B,)), 1):
+        src += [f"    z{i} = y{i} + {_weighted(weights, i)}" for i in comps]
+        src += [f"    z = ({vec('z{i}')})",
+                f"    {vec('k{s}_{i}', s=s)} = rhs(t + {c!r} * h, z)"]
+    # square as r * r, which is correctly rounded; the C pow() behind r ** 2
+    # can be 1 ulp off, and a 1-ulp err moves the step size
+    src += [f"    r{i} = {_weighted(_E, i)} / "
+            f"(abs_tol + rel_tol * max(abs(y{i}), abs(z{i})))" for i in comps]
+    squares = " + ".join(f"r{i} * r{i}" for i in comps)
+    stages = ", ".join(f"({vec('k{s}_{i}', s=s)})" for s in range(1, 7))
+    src += [f"    return z, (f, {stages}), sqrt(({squares}) * {1.0 / dim!r})"]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(src), f"<DOPRI step, dim {dim}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _dense_eval(y0, h, k_step, x):
@@ -231,14 +237,13 @@ def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
         raise ValueError("tolerances must lie in (0, 1e-2]")
     y = tuple(float(v) for v in y0)
     dim = len(y)
-    inv_dim = 1.0 / dim
     f = tuple(rhs(t0, y))
     if len(f) != dim:
         raise ValueError("rhs dimension does not match the initial state")
     h = _initial_step(rhs, t0, y, f, 1.0, rel_tol, abs_tol, max_step)
     span = t1 - t0
     h_min = 1e-14 * max(abs(t0), abs(t1), span)
-    step2 = _step_dim2 if dim == 2 else None
+    step = _dopri_step(dim)
 
     ts = [t0]
     ys = [y]
@@ -253,49 +258,17 @@ def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
         if h < h_min:
             raise StepSizeError(
                 f"step size underflow at t = {t:.6g} ms", t)
-        accepted = False
-        while not accepted:
-            if step2 is not None:
-                y_new, k_step, err = step2(rhs, t, y, f, h, rel_tol, abs_tol)
-                t_new = t + h
-            else:
-                k1 = f
-                k2 = rhs(t + _C2 * h, tuple(yi + h * _A21 * a for yi, a in zip(y, k1)))
-                k3 = rhs(t + _C3 * h, tuple(
-                    yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)))
-                k4 = rhs(t + _C4 * h, tuple(
-                    yi + h * (_A41 * a + _A42 * b + _A43 * c)
-                    for yi, a, b, c in zip(y, k1, k2, k3)))
-                k5 = rhs(t + _C5 * h, tuple(
-                    yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                    for yi, a, b, c, d in zip(y, k1, k2, k3, k4)))
-                k6 = rhs(t + h, tuple(
-                    yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                    for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)))
-                y_new = tuple(
-                    yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                    for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6))
-                t_new = t + h
-                k7 = rhs(t_new, y_new)
-                err = 0.0
-                for i in range(dim):
-                    e_i = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i]
-                               + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
-                    sc = abs_tol + rel_tol * max(abs(y[i]), abs(y_new[i]))
-                    err += (e_i / sc) ** 2
-                err = math.sqrt(err * inv_dim)
-                k_step = (k1, k2, k3, k4, k5, k6, k7)
+        while True:
+            y_new, k_step, err = step(rhs, t, y, f, h, rel_tol, abs_tol)
             if err <= 1.0:
-                accepted = True
-                factor = _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, _SAFETY * err ** -0.2)
-            else:
-                factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-                h *= factor
-                if h < h_min:
-                    raise StepSizeError(
-                        f"step size underflow at t = {t:.6g} ms", t)
-                continue
+                break
+            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            if h < h_min:
+                raise StepSizeError(
+                    f"step size underflow at t = {t:.6g} ms", t)
+        factor = _MAX_FACTOR if err == 0.0 else min(
+            _MAX_FACTOR, _SAFETY * err ** -0.2)
+        t_new = t + h
         if event_fns:
             for ie, fn in enumerate(event_fns):
                 g_new = fn(t_new, y_new)

@@ -14,7 +14,8 @@ rather than by the models' array form of G, and solved by Newton on the
 full fast rhs rather than by Brent on G. The Jacobian is the oracle's own,
 not the models' complex step: the hand-derived jac_fast4 for the reduced
 subsystem and a centred finite difference of rhs_fast7 for the full one,
-with eigenvalues from numpy's QR iteration.
+with eigenvalues from numpy's QR iteration. The reference Dormand-Prince
+step takes its tableau from scipy's RK45, not from burstlab.integrate.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import RK45
 
 from burstlab.bifurcation import _V_GRID, Equilibrium
 from burstlab.model import can_activation, gate_inf, gate_tau, phi, s_slaved
@@ -339,3 +341,23 @@ def rk4(rhs, y0, t_span, h: float):
         ts.append(t)
         ys.append(y)
     return np.array(ts), np.array(ys)
+
+
+def dopri_step(rhs, t, y, f, h, rel_tol: float, abs_tol: float):
+    """One Dormand-Prince 5(4) step in numpy, from the tableau scipy
+    publishes on RK45 (attributes A, B, C, E), not from burstlab's constants.
+
+    Returns (y_new, K, err): the fifth-order solution, the (7, dim) stage
+    derivatives (K[0] = f, K[6] = rhs at y_new) and the RMS norm of the
+    local error estimate scaled by abs_tol + rel_tol max(|y|, |y_new|).
+    """
+    y = np.asarray(y, dtype=float)
+    K = np.empty((7, y.size))
+    K[0] = f
+    for s in range(1, 6):
+        K[s] = rhs(t + RK45.C[s] * h, tuple(y + h * (RK45.A[s, :s] @ K[:s])))
+    y_new = y + h * (RK45.B @ K[:6])
+    K[6] = rhs(t + h, tuple(y_new))
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    err = math.sqrt(np.mean((h * (RK45.E @ K) / scale) ** 2))
+    return y_new, K, err

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from burstlab import EllipsePath, FULL7D, REDUCED4D, ModelParams, integrate
+from burstlab import EllipsePath, FULL7D, REDUCED4D, ModelParams
+from burstlab.integrate import integrate
 from burstlab.bifurcation import verify_snic
 from burstlab.features import (burst_features, feature_distance,
                                min_oscillation_amplitude, run_autonomous,

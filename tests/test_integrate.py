@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rk4
+from oracles import dopri_step, rk4
 
-from burstlab import EllipsePath, StepSizeError, detect_events, integrate
+import burstlab
+from burstlab import EllipsePath, StepSizeError, detect_events
+from burstlab.integrate import _dopri_step, integrate
 
 
 def test_exponential_decay():
@@ -143,3 +145,48 @@ def test_event_times_tolerance_convergence(reduced, curves2, fig4_d1_path):
     for a, b in zip(ev_a, ev_b):
         assert (a.label, a.direction) == (b.label, b.direction)
         assert abs(a.t - b.t) / max(a.t, 1.0) < 10 * 5e-9
+
+
+def test_package_attribute_is_the_module():
+    import burstlab.integrate as m
+    assert m.Trajectory is burstlab.Trajectory
+
+
+def _step_cases(reduced, full):
+    # each h makes err far above 1 (a step the controller would reject):
+    # smaller steps leave err to cancellation among the stage derivatives,
+    # where either side's rounding shows above 1e-12 of it
+    rng = np.random.default_rng(13)
+    p2 = EllipsePath.centered(0.15, 5.85, 1.0, 0.0, 0.004)
+    p5 = EllipsePath.centered(0.7, 5.35, 2.0, 0.0, 0.009)
+    cases = [
+        ("frozen 2D", reduced.frozen_rhs((0.2, 5.3)), (-30.0, 0.3), 0.1),
+        ("path_rhs 2D", reduced.path_rhs(p2), (-50.0, 0.1), 2.0),
+        ("path_rhs 5D", full.path_rhs(p5), full.slaved(-40.0), 0.5),
+        ("autonomous 4D", reduced.autonomous_rhs(),
+         reduced.slaved(-40.0) + (0.1, 5.0), 0.5),
+        ("autonomous 7D", full.autonomous_rhs(),
+         full.slaved(-40.0) + (0.7, 5.35), 0.5),
+    ]
+    for dim in (1, 3, 6):
+        m = rng.normal(size=(dim, dim))
+        cases.append((f"linear {dim}D", lambda t, y, m=m: tuple(m @ y),
+                      tuple(rng.normal(size=dim)), 0.5))
+    return cases
+
+
+def test_generated_step_matches_reference_tableau(reduced, full):
+    # one unrolled step per dimension 1-7 against the numpy step built on
+    # scipy's RK45 tableau: checks the transcription and the generator
+    dims = set()
+    for name, rhs, y, h in _step_cases(reduced, full):
+        t, y = 120.0, tuple(float(v) for v in y)
+        f = tuple(rhs(t, y))
+        y_new, k_step, err = _dopri_step(len(y))(rhs, t, y, f, h, 1e-6, 1e-8)
+        y_ref, k_ref, err_ref = dopri_step(rhs, t, y, f, h, 1e-6, 1e-8)
+        np.testing.assert_allclose(y_new, y_ref, rtol=1e-13, atol=0, err_msg=name)
+        np.testing.assert_allclose(np.array(k_step), k_ref, rtol=1e-13,
+                                   atol=0, err_msg=name)
+        assert err == pytest.approx(err_ref, rel=1e-12, abs=0), name
+        dims.add(len(y))
+    assert dims == set(range(1, 8))

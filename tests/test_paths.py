@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstlab import EllipsePath, InvalidParameterError, integrate
+from burstlab import EllipsePath, InvalidParameterError
+from burstlab.integrate import integrate
 
 PATH = EllipsePath.centered(0.7, 5.35, 2.0, 0.0, 0.009)
 
