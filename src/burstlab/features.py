@@ -22,8 +22,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bifurcation import BifCurve, find_equilibria
-from .integrate import (EventRecord, Trajectory, append_closed_form,
-                        detect_events, integrate)
+from .integrate import (MAX_STEP, EventRecord, Trajectory,
+                        append_closed_form, detect_events, integrate)
 from .paths import EllipsePath
 
 log = logging.getLogger(__name__)
@@ -31,7 +31,6 @@ log = logging.getLogger(__name__)
 SPIKE_THRESHOLD = -20.0     # mV; spike peaks separate cleanly from
 SPIKE_REFRACTORY = 2.0      # subthreshold oscillation above this level
 _DENSE_DT = 0.02            # ms, resampling step for spike detection
-_SCAN_DT = 1.0              # ms, path crossing scan; integrate's max_step
 _LABELS = ("SNIC", "AH")
 
 
@@ -130,7 +129,7 @@ def path_crossings(path: EllipsePath, snic: BifCurve, ah: BifCurve,
     Brent's method on the scalar offset, as detect_events refines one on the
     dense output.
     """
-    ts = np.linspace(0.0, t_end, math.ceil(t_end / _SCAN_DT) + 1)
+    ts = np.linspace(0.0, t_end, math.ceil(t_end / MAX_STEP) + 1)
     ca, na = path.point(ts, np.cos, np.sin)
     found = []
     for index, curve in enumerate((snic, ah)):

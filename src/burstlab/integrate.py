@@ -10,13 +10,19 @@ it builds, so a step that loops over components costs about a quarter more.
 Dense output uses the standard fourth-order interpolant of the pair; event
 times are localized on it by Brent's method, decoupled from step-size
 control.
+
+The same generated source also serves lanes: a state that is a tuple of
+numpy arrays, one element per independent problem, advanced in lockstep by
+step_lanes with a step size and accept decision of its own per lane. Only
+the namespace the source is compiled in differs (TUPLES or LANES), so each
+lane does the tuple step's arithmetic in the same order.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -61,6 +67,9 @@ _NODES = np.array(_C)
 _MAX_FACTOR = 10.0
 _MIN_FACTOR = 0.2
 _SAFETY = 0.9
+
+MAX_STEP = 1.0          # ms, the default largest step: no spike is skipped
+MAX_STEPS = 400_000     # the default accepted-step budget of one solve
 
 
 class StepSizeError(RuntimeError):
@@ -137,20 +146,41 @@ class Trajectory:
             self.write_csv(fh, columns)
 
 
-def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol, max_step):
+class _Ops(NamedTuple):
+    """The elementary functions that differ between tuple states and lanes."""
+
+    sqrt: Callable
+    maximum: Callable
+    minimum: Callable
+    where: Callable
+
+
+def _pick(cond, a, b):
+    return a if cond else b
+
+
+TUPLES = _Ops(math.sqrt, max, min, _pick)
+LANES = _Ops(np.sqrt, np.maximum, np.minimum, np.where)
+
+
+def initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step, ops=TUPLES):
+    """The first step size of a solve from (t0, y0) with f0 = rhs(t0, y0),
+    after Hairer, Norsett and Wanner (Solving ODEs I, II.4); on lanes with
+    ops=LANES, one per lane."""
+    sqrt, maximum, minimum, where = ops
     scale = [abs_tol + rel_tol * abs(yi) for yi in y0]
-    d0 = math.sqrt(sum((yi / si) ** 2 for yi, si in zip(y0, scale)) / len(y0))
-    d1 = math.sqrt(sum((fi / si) ** 2 for fi, si in zip(f0, scale)) / len(y0))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = tuple(yi + h0 * direction * fi for yi, fi in zip(y0, f0))
-    f1 = rhs(t0 + h0 * direction, y1)
-    d2 = math.sqrt(sum(((a - b) / si) ** 2
-                       for a, b, si in zip(f1, f0, scale)) / len(y0)) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, max_step)
+    d0 = sqrt(sum((yi / si) ** 2 for yi, si in zip(y0, scale)) / len(y0))
+    d1 = sqrt(sum((fi / si) ** 2 for fi, si in zip(f0, scale)) / len(y0))
+    # np.where evaluates both branches, so every divisor is bounded away
+    # from zero by a bound that never changes the branch taken
+    h0 = where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / maximum(d1, 1e-5))
+    y1 = tuple(yi + h0 * fi for yi, fi in zip(y0, f0))
+    f1 = rhs(t0 + h0, y1)
+    d2 = sqrt(sum(((a - b) / si) ** 2
+                  for a, b, si in zip(f1, f0, scale)) / len(y0)) / h0
+    h1 = where((d1 <= 1e-15) & (d2 <= 1e-15), maximum(1e-6, h0 * 1e-3),
+               (0.01 / maximum(maximum(d1, d2), 1e-15)) ** 0.2)
+    return minimum(minimum(100.0 * h0, h1), max_step)
 
 
 def _weighted(weights, i):
@@ -162,11 +192,12 @@ def _weighted(weights, i):
 
 
 @functools.cache
-def _dopri_step(dim):
+def _dopri_step(dim, ops=TUPLES):
     """The Dormand-Prince step for states of dimension dim, unrolled from
     the tableau: step(rhs, t, y, f, h, rel_tol, abs_tol) -> (y_new, k_step,
     err), with k_step the 7 stage derivatives (f first, f at y_new last) and
-    err the RMS norm of the local error scaled by the tolerances."""
+    err the RMS norm of the local error scaled by the tolerances. With
+    ops=LANES the same source runs on tuples of arrays, t and h per lane."""
     def vec(fmt, **kw):
         return ", ".join(fmt.format(i=i, **kw) for i in range(dim)) + ","
 
@@ -184,9 +215,72 @@ def _dopri_step(dim):
     squares = " + ".join(f"r{i} * r{i}" for i in comps)
     stages = ", ".join(f"({vec('k{s}_{i}', s=s)})" for s in range(1, 7))
     src += [f"    return z, (f, {stages}), sqrt(({squares}) * {1.0 / dim!r})"]
-    namespace = {"sqrt": math.sqrt}
+    namespace = {"sqrt": ops.sqrt, "max": ops.maximum}
     exec(compile("\n".join(src), f"<DOPRI step, dim {dim}>", "exec"), namespace)
     return namespace["step"]
+
+
+def step_lanes(rhs, t, y, f, h, t_end, rel_tol, abs_tol):
+    """Attempt one Dormand-Prince step on every lane of a lockstep batch.
+
+    t, h and t_end are arrays of one shape, y and f tuples of such arrays,
+    and rhs(t, y) maps them alike. Each lane integrates its own window
+    [t0, t_end] with t0 >= 0 and follows _solve's control at the default
+    MAX_STEP: the step is clipped to MAX_STEP and to the window end,
+    accepted when err <= 1, and the next step size comes from err.
+
+    Returns (h_used, y_new, k_step, accepted, h_next, underflow). underflow
+    marks the lanes whose clipped step fell below _solve's bound, or is not
+    a number; _solve raises StepSizeError there instead of stepping.
+    """
+    h_used = np.minimum(np.minimum(h, MAX_STEP), t_end - t)
+    # _solve's 1e-14 max(|t0|, |t1|, t1 - t0) for 0 <= t0 < t1
+    underflow = ~(h_used >= 1e-14 * t_end)
+    y_new, k_step, err = _dopri_step(len(y), LANES)(rhs, t, y, f, h_used,
+                                                    rel_tol, abs_tol)
+    accepted = err <= 1.0
+    q = _SAFETY * err ** -0.2
+    # fmax, like max(), ignores a NaN err: a lane whose rhs is not a number
+    # shrinks its step until it underflows
+    h_next = h_used * np.where(accepted, np.minimum(_MAX_FACTOR, q),
+                               np.fmax(_MIN_FACTOR, q))
+    return h_used, y_new, k_step, accepted, h_next, underflow
+
+
+def lane_crossings(t, h, y0, k, level):
+    """Times at which one component's dense interpolant rises through level,
+    one step per lane.
+
+    t, h and y0 (the component at the step start) are arrays of one shape
+    (lanes,), k the component's 7 stage derivatives as a (7, lanes) array;
+    each step must rise through level. The root is found by Newton's method
+    on the interpolant, kept inside the bracket by bisection, to rounding.
+    A lane stops iterating once its own root has converged, so its time does
+    not depend on the other lanes.
+    """
+    c0, c1, c2, c3 = _dense_coefficients(k.T[:, :, None])[:, :, 0].T
+
+    def excess(x):
+        return y0 + h * x * (c0 + x * (c1 + x * (c2 + x * c3))) - level
+
+    lo = np.zeros_like(h)
+    hi = np.ones_like(h)
+    g0, g1 = excess(lo), excess(hi)
+    x = np.clip(np.nan_to_num(g0 / (g0 - g1), nan=0.5), 0.0, 1.0)
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(100):
+        g = excess(x)
+        lo = np.where(g < 0.0, x, lo)
+        hi = np.where(g < 0.0, hi, x)
+        slope = h * (c0 + x * (2.0 * c1 + x * (3.0 * c2 + x * 4.0 * c3)))
+        x_new = x - g / slope
+        x_new = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
+        x_new = np.where(active, x_new, x)
+        active &= np.abs(x_new - x) > 1e-15
+        x = x_new
+        if not active.any():
+            break
+    return t + x * h
 
 
 def _dense_eval(y0, h, k_step, x):
@@ -229,7 +323,7 @@ def append_closed_form(traj: Trajectory, y: Callable, dy: Callable) -> Trajector
 
 
 def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
-           max_steps=400_000):
+           max_steps):
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0):
         raise ValueError("t_span must satisfy t1 > t0")
@@ -240,7 +334,7 @@ def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
     f = tuple(rhs(t0, y))
     if len(f) != dim:
         raise ValueError("rhs dimension does not match the initial state")
-    h = _initial_step(rhs, t0, y, f, 1.0, rel_tol, abs_tol, max_step)
+    h = initial_step(rhs, t0, y, f, rel_tol, abs_tol, max_step)
     span = t1 - t0
     h_min = 1e-14 * max(abs(t0), abs(t1), span)
     step = _dopri_step(dim)
@@ -304,8 +398,8 @@ def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
 
 
 def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
-              abs_tol: float = 1e-8, max_step: float = 1.0,
-              max_steps: int = 400_000) -> Trajectory:
+              abs_tol: float = 1e-8, max_step: float = MAX_STEP,
+              max_steps: int = MAX_STEPS) -> Trajectory:
     """Integrate y' = rhs(t, y) over t_span with dense output.
 
     Parameters
@@ -330,8 +424,9 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
 
 def detect_events(rhs: Callable, y0, t_span, event_fns: Sequence[Callable],
                   rel_tol: float = 1e-8, abs_tol: float = 1e-8,
-                  max_step: float = 1.0, labels: Optional[Sequence[str]] = None,
-                  max_steps: int = 400_000):
+                  max_step: float = MAX_STEP,
+                  labels: Optional[Sequence[str]] = None,
+                  max_steps: int = MAX_STEPS):
     """Integrate and localize every sign change of the scalar test functions.
 
     Each event function is evaluated at the accepted step endpoints; a sign

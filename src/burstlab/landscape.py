@@ -3,11 +3,16 @@
 Two field kinds are supported: PERIOD, the period of the attracting
 periodic orbit measured by direct simulation and spike-time averaging, and
 RE_LAMBDA, the real part of the complex eigenvalue pair at the depolarized
-equilibrium. Contours come from marching squares with linear edge
-interpolation; cells touching undefined nodes are skipped.
+equilibrium. A PERIOD field integrates all its nodes together, each node a
+numpy lane of one lockstep Dormand-Prince loop with its own time, step size
+and accept decision, and gives every node a status; orbit_period measures
+one point on the tuple engine, and both decide the period alike. Contours
+come from marching squares with linear edge interpolation; cells touching
+undefined nodes are skipped.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -18,12 +23,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bifurcation
-from .integrate import StepSizeError, detect_events, integrate
+from .integrate import (LANES, MAX_STEP, MAX_STEPS, StepSizeError,
+                        detect_events, initial_step, integrate, lane_crossings,
+                        step_lanes)
 
 log = logging.getLogger(__name__)
 
 PERIOD = "PERIOD"
 RE_LAMBDA = "RE_LAMBDA"
+
+# the status of a PERIOD node: a period, or why there is none
+DEFINED = "defined"
+QUIESCENT = "quiescent"         # fewer than 3 upward level crossings
+UNCONVERGED = "unconverged"     # the gap spread did not settle
+DECAYED = "decayed"             # the amplitude kept decaying: a focus
+STEP_FAILURE = "step_failure"   # the step size underflowed, or the step
+                                # budget of a window ran out
 
 
 def sweep_workers() -> int:
@@ -74,11 +89,13 @@ class GridSpec:
 @dataclass
 class ScalarField:
     """Grid values with NaN marking undefined nodes; values[i, j] belongs to
-    (ca_axis[i], na_axis[j])."""
+    (ca_axis[i], na_axis[j]). A PERIOD field built here also carries each
+    node's status (DEFINED, QUIESCENT, UNCONVERGED, DECAYED, STEP_FAILURE)."""
 
     grid: GridSpec
     values: np.ndarray
     kind: str
+    status: Optional[np.ndarray] = None
 
     def defined_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
@@ -146,36 +163,193 @@ def orbit_period(fast, slow, *, level: float = -20.0, t_transient: float = 500.0
     except StepSizeError:
         return None
     ups = [e.t for e in evs if e.direction > 0]
+    status, period = _period_verdict(ups, *_cycle_amplitudes(traj, ups),
+                                     n_gaps, spread_tol)
+    if status in (UNCONVERGED, DECAYED) and _retry:
+        return orbit_period(fast, slow, level=level,
+                            t_transient=2.0 * t_transient,
+                            t_measure=t_measure, n_gaps=n_gaps,
+                            spread_tol=spread_tol, rel_tol=rel_tol,
+                            abs_tol=abs_tol, _retry=False)
+    return period
+
+
+def _cycle_amplitudes(traj, ups):
+    # the v-amplitudes of the first and last measured cycles, from 80 dense
+    # samples each
     if len(ups) < 3:
-        return None
+        return 0.0, 0.0
+    va = traj.sample(np.linspace(ups[0], ups[1], 80))[:, 0]
+    vb = traj.sample(np.linspace(ups[-2], ups[-1], 80))[:, 0]
+    return float(va.max() - va.min()), float(vb.max() - vb.min())
+
+
+def _period_verdict(ups, amp_first, amp_last, n_gaps, spread_tol,
+                    ratio: float = 0.8):
+    """(status, period) of one measurement window from its upward crossing
+    times (at least the last n_gaps + 1, in order) and the v-amplitudes of
+    its first and last cycles. The period is the mean of the last n_gaps
+    gaps; UNCONVERGED and DECAYED earn orbit_period's one retry."""
+    if len(ups) < 3:
+        return QUIESCENT, None
     gaps = np.diff(ups)[-n_gaps:]
     mean = float(np.mean(gaps))
-    spread = float((gaps.max() - gaps.min()) / mean)
-    decayed = _amplitude_decayed(traj, ups)
-    if spread >= spread_tol or decayed:
-        if _retry:
-            return orbit_period(fast, slow, level=level,
-                                t_transient=2.0 * t_transient,
-                                t_measure=t_measure, n_gaps=n_gaps,
-                                spread_tol=spread_tol, rel_tol=rel_tol,
-                                abs_tol=abs_tol, _retry=False)
-        return None
-    return mean
+    if amp_first > 0.0 and amp_last < ratio * amp_first:
+        return DECAYED, None
+    if float((gaps.max() - gaps.min()) / mean) >= spread_tol:
+        return UNCONVERGED, None
+    return DEFINED, mean
 
 
-def _amplitude_decayed(traj, ups, ratio: float = 0.8) -> bool:
-    # compare the v-amplitude of the first and last measured cycles
-    if len(ups) < 3:
-        return False
-    ts_a = np.linspace(ups[0], ups[1], 80)
-    ts_b = np.linspace(ups[-2], ups[-1], 80)
-    va = traj.sample(ts_a)[:, 0]
-    vb = traj.sample(ts_b)[:, 0]
-    amp_a = float(va.max() - va.min())
-    amp_b = float(vb.max() - vb.min())
-    if amp_a <= 0.0:
-        return False
-    return amp_b < ratio * amp_a
+def _period_lanes(fast, slows, *, level: float = -20.0,
+                  t_transient: float = 500.0, t_measure: float = 400.0,
+                  n_gaps: int = 5, spread_tol: float = 1e-3,
+                  rel_tol: float = 1e-6, abs_tol: float = 1e-8):
+    """orbit_period's measurement at every slow point, each point a lane of
+    one lockstep loop: (periods with NaN where undefined, statuses).
+
+    Every lane follows orbit_period: the transient from the seed, then a
+    measurement window restarted with a fresh initial step, then the one
+    retry with a doubled transient, which restarts the lane from the seed
+    in place. Upward crossings are stored per lane in a ring of the last
+    n_gaps + 1 (at least 3) steps that crossed and refined when the window
+    ends; the cycle amplitudes come from the running extremes of v at the
+    accepted step ends. A lane that underflows its step size, or spends
+    integrate's step budget on one window, ends as STEP_FAILURE, where
+    orbit_period catches StepSizeError. Finished lanes are compacted out. No
+    lane's arithmetic involves another lane, so the results do not depend
+    on the batch.
+    """
+    if n_gaps < 1:
+        raise ValueError("n_gaps must be at least 1")
+    slows = list(slows)
+    n = len(slows)
+    values = np.full(n, math.nan)
+    status = np.full(n, STEP_FAILURE, dtype="<U12")
+    if not n:
+        return values, status
+    # _period_verdict needs 3 crossings whatever n_gaps
+    ring_len = max(n_gaps + 1, 3)
+    # per point, indexed by point number
+    rhs = fast.lane_rhs(slows)
+    t = np.zeros(n)
+    y_seed = tuple(np.full(n, c) for c in fast.slaved(level))
+    f_seed = rhs(t, y_seed)
+    h_seed = initial_step(rhs, t, y_seed, f_seed, rel_tol, abs_tol, MAX_STEP,
+                          LANES)
+    retried = np.zeros(n, dtype=bool)
+    n_ups = np.zeros(n, dtype=int)
+    ring = np.zeros((n, ring_len, 10))      # t, h, v and the 7 v-stages
+    amp_first = np.zeros(n)
+    amp_last = np.zeros(n)
+    # per lane, compacted as lanes finish
+    ids = np.arange(n)
+    y, f, h = y_seed, f_seed, h_seed
+    t_end = np.full(n, t_transient)
+    measuring = np.zeros(n, dtype=bool)
+    live = np.ones(n, dtype=bool)
+    g_prev = np.zeros(n)
+    n_steps = np.zeros(n, dtype=int)    # accepted steps in the window
+    top = np.zeros(n)
+    bot = np.zeros(n)
+
+    def finish(loc, verdict, period=None):
+        values[ids[loc]] = math.nan if period is None else period
+        status[ids[loc]] = verdict
+        live[loc] = False
+
+    def end_windows(loc):
+        # decide the lanes whose measurement window ended; return those
+        # that earn the retry
+        pts = ids[loc]
+        counts = n_ups[pts]
+        valid = np.arange(ring_len) < np.minimum(counts, ring_len)[:, None]
+        rows = ring[pts][valid]
+        times = np.full(valid.shape, math.nan)
+        times[valid] = lane_crossings(rows[:, 0], rows[:, 1], rows[:, 2],
+                                      rows[:, 3:].T, level)
+        retry = []
+        for j, (lane, pt, count) in enumerate(zip(loc, pts, counts)):
+            kept = min(count, ring_len)     # in time order:
+            ups = times[j, [(count - kept + i) % ring_len for i in range(kept)]]
+            verdict, period = _period_verdict(ups, amp_first[pt], amp_last[pt],
+                                              n_gaps, spread_tol)
+            if verdict in (UNCONVERGED, DECAYED) and not retried[pt]:
+                retry.append(lane)
+            else:
+                finish(lane, verdict, period)
+        return np.array(retry, dtype=int)
+
+    with np.errstate(all="ignore"):     # finished lanes step on garbage
+        while ids.size:
+            h_used, y_new, k, acc, h, failed = step_lanes(
+                rhs, t, y, f, h, t_end, rel_tol, abs_tol)
+            n_steps += acc
+            failed = live & (failed | (n_steps >= MAX_STEPS))
+            if failed.any():
+                finish(failed, STEP_FAILURE)
+            acc &= live
+            # upward crossings and running extremes on measuring lanes
+            v = y_new[0]
+            m = acc & measuring
+            up = m & (g_prev < 0.0) & (v - level >= 0.0)
+            if up.any():
+                loc = np.flatnonzero(up)
+                pts = ids[loc]
+                amp = top[loc] - bot[loc]
+                n_ups[pts] += 1
+                ring[pts, (n_ups[pts] - 1) % ring_len] = np.stack(
+                    (t, h_used, y[0]) + tuple(ks[0] for ks in k), axis=-1)[loc]
+                amp_last[pts] = amp
+                first = n_ups[pts] == 2
+                amp_first[pts[first]] = amp[first]
+                top[loc] = level
+                bot[loc] = level
+            g_prev = np.where(m, v - level, g_prev)
+            top = np.where(m, np.maximum(top, v), top)
+            bot = np.where(m, np.minimum(bot, v), bot)
+            t = np.where(acc, t + h_used, t)
+            y = tuple(np.where(acc, a, b) for a, b in zip(y_new, y))
+            f = tuple(np.where(acc, a, b) for a, b in zip(k[6], f))
+            ended = acc & (t >= t_end)
+            if ended.any():
+                loc = np.flatnonzero(ended)
+                sel = loc[~measuring[loc]]      # transients: start measuring
+                if sel.size:
+                    h[sel] = initial_step(
+                        fast.lane_rhs([slows[i] for i in ids[sel]]), t[sel],
+                        tuple(c[sel] for c in y), tuple(c[sel] for c in f),
+                        rel_tol, abs_tol, MAX_STEP, LANES)
+                    t_end[sel] += t_measure
+                    g_prev[sel] = y[0][sel] - level
+                    n_ups[ids[sel]] = 0
+                sel = loc[measuring[loc]]
+                if sel.size:
+                    sel = end_windows(sel)      # retries: from the seed
+                    pts = ids[sel]
+                    retried[pts] = True
+                    t[sel] = 0.0
+                    for c, c0 in zip(y + f, y_seed + f_seed):
+                        c[sel] = c0[pts]
+                    h[sel] = h_seed[pts]
+                    t_end[sel] = 2.0 * t_transient
+                measuring[loc] = ~measuring[loc]
+                n_steps[loc] = 0
+            # compact once an eighth of the lanes have finished: each
+            # compaction rebuilds the rhs
+            n_dead = ids.size - int(live.sum())
+            if n_dead and 8 * n_dead >= ids.size:
+                keep = live
+                ids = ids[keep]
+                t, h, t_end, measuring = t[keep], h[keep], t_end[keep], measuring[keep]
+                g_prev, top, bot = g_prev[keep], top[keep], bot[keep]
+                n_steps = n_steps[keep]
+                y = tuple(c[keep] for c in y)
+                f = tuple(c[keep] for c in f)
+                live = live[keep]
+                if ids.size:
+                    rhs = fast.lane_rhs([slows[i] for i in ids])
+    return values, status
 
 
 def relambda(fast, slow) -> Optional[float]:
@@ -183,44 +357,44 @@ def relambda(fast, slow) -> Optional[float]:
     return bifurcation.hopf_test(fast, slow)
 
 
-def _eval_node(args):
-    kind, fast, ca, na, opts = args
-    if kind == PERIOD:
-        return orbit_period(fast, (ca, na), **opts)
-    return relambda(fast, (ca, na))
+def _map(fn, workers, items, chunksize=1):
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    return [fn(item) for item in items]
 
 
 def build_field(kind: str, grid: GridSpec, fast, workers: Optional[int] = None,
                 **opts) -> ScalarField:
     """Evaluate a field on every grid node.
 
-    Node evaluations are independent; with workers > 1 they run in a process
-    pool, which receives the model object pickled. Assembly order is fixed
-    by node index, so the result does not depend on scheduling. Per-node
-    failures are recorded as undefined.
+    A PERIOD field runs its nodes as the lanes of one lockstep loop, with
+    orbit_period's options (opts) and a status per node; with workers > 1
+    the nodes are split into that many contiguous chunks, one loop per
+    worker process. RE_LAMBDA nodes are evaluated one by one, in a process
+    pool with workers > 1. Workers receive the model object pickled. Lanes
+    and nodes do not interact and results are assembled in node order, so
+    the field does not depend on the worker count. Per-node failures are
+    recorded as undefined.
     """
     if kind not in (PERIOD, RE_LAMBDA):
         raise ValueError(f"unknown field kind {kind!r}")
     if workers is None:
         workers = sweep_workers()
-    cas = grid.ca_axis()
-    nas = grid.na_axis()
-    tasks = [(kind, fast, float(ca), float(na), opts)
-             for ca in cas for na in nas]
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_node, tasks, chunksize=chunk))
-    else:
-        results = [_eval_node(t) for t in tasks]
-    values = np.full((grid.n_ca, grid.n_na), math.nan)
-    it = iter(results)
-    for i in range(grid.n_ca):
-        for j in range(grid.n_na):
-            r = next(it)
-            if r is not None:
-                values[i, j] = r
-    return ScalarField(grid=grid, values=values, kind=kind)
+    shape = (grid.n_ca, grid.n_na)
+    nodes = [(float(ca), float(na))
+             for ca in grid.ca_axis() for na in grid.na_axis()]
+    if kind == PERIOD:
+        size = -(-len(nodes) // workers)
+        chunks = _map(functools.partial(_period_lanes, fast, **opts), workers,
+                      [nodes[i:i + size] for i in range(0, len(nodes), size)])
+        values, status = (np.concatenate(parts).reshape(shape)
+                          for parts in zip(*chunks))
+        return ScalarField(grid=grid, values=values, kind=kind, status=status)
+    results = _map(functools.partial(relambda, fast), workers, nodes,
+                   chunksize=max(1, len(nodes) // (workers * 8)))
+    values = np.array([math.nan if r is None else r for r in results])
+    return ScalarField(grid=grid, values=values.reshape(shape), kind=kind)
 
 
 @dataclass

@@ -11,10 +11,10 @@ form is derived from it: frozen (Ca, Na) for the equilibria and landscapes,
 an imposed elliptic path for the driven models (the fast state alone against
 the path's closed form, or the full state with the path's rotation field),
 the biological slow equations for the autonomous models, a numpy form for
-the equilibrium scan and for the equilibrium branch that the bifurcation
-curves are traced on, and a complex form whose complex step gives the
-Jacobian. The readable six-current reference lives in tests/oracles.py,
-apart from this code.
+the equilibrium scan, for the equilibrium branch that the bifurcation
+curves are traced on and for the lanes of a PERIOD field, and a complex
+form whose complex step gives the Jacobian. The readable six-current
+reference lives in tests/oracles.py, apart from this code.
 
 State is passed as plain tuples of floats, which is the fastest
 representation for systems of this size.
@@ -225,6 +225,19 @@ class _FastSubsystem:
 
         def rhs(t, y):
             return core(*y, *slow_currents(*point(t)))
+
+        return rhs
+
+    def lane_rhs(self, slows):
+        """rhs(t, y) of the frozen fast system at many slow points at once,
+        one numpy lane per (Ca, Na) point: y is a tuple of arrays, element k
+        belonging to slows[k]. This is what PERIOD fields integrate."""
+        core = self._array_core
+        a_can, i_pump = (np.array(c) for c in
+                         zip(*(self._slow_currents(*slow) for slow in slows)))
+
+        def rhs(t, y):
+            return core(*y, a_can, i_pump)
 
         return rhs
 

@@ -8,7 +8,8 @@ from oracles import dopri_step, rk4
 
 import burstlab
 from burstlab import EllipsePath, StepSizeError, detect_events
-from burstlab.integrate import _dopri_step, integrate
+from burstlab.integrate import (LANES, _dopri_step, initial_step, integrate,
+                                lane_crossings, step_lanes)
 
 
 def test_exponential_decay():
@@ -190,3 +191,76 @@ def test_generated_step_matches_reference_tableau(reduced, full):
         assert err == pytest.approx(err_ref, rel=1e-12, abs=0), name
         dims.add(len(y))
     assert dims == set(range(1, 8))
+
+
+def _van_der_pol(t, y):
+    # + and * only: floats and numpy arrays round it alike
+    v, w = y
+    return w, -v - 0.5 * w * (v * v - 1.0)
+
+
+def test_lane_step_is_the_tuple_step():
+    # one source, two namespaces: each lane does the tuple step's arithmetic
+    starts = [(2.0, 0.0), (0.5, 0.1), (-1.0, 1.0)]
+    hs = [0.3, 0.01, 1.0]
+    y = tuple(np.array(c) for c in zip(*starts))
+    lanes = _dopri_step(2, LANES)(_van_der_pol, np.zeros(3), y,
+                                  _van_der_pol(0.0, y), np.array(hs),
+                                  1e-6, 1e-8)
+    for i, (y0, h) in enumerate(zip(starts, hs)):
+        y_new, k_step, err = _dopri_step(2)(_van_der_pol, 0.0, y0,
+                                            _van_der_pol(0.0, y0), h,
+                                            1e-6, 1e-8)
+        assert [float(c[i]) for c in lanes[0]] == list(y_new)
+        assert [[float(c[i]) for c in k] for k in lanes[1]] == \
+            [list(k) for k in k_step]
+        assert float(lanes[2][i]) == err
+
+
+def test_lanes_follow_the_tuple_engine():
+    # every lane of step_lanes retraces integrate(): the same accepted steps
+    # and the same end state but for rounding, since numpy's pow (in the
+    # initial step and the step-size factor) is not CPython's
+    starts = [(2.0, 0.0), (0.5, 0.1), (-1.0, 1.0), (0.0, -3.0)]
+    t_end = np.full(len(starts), 20.0)
+    y = tuple(np.array(c) for c in zip(*starts))
+    t = np.zeros(len(starts))
+    f = _van_der_pol(t, y)
+    h = initial_step(_van_der_pol, t, y, f, 1e-6, 1e-8, 1.0, LANES)
+    steps = np.zeros(len(starts), dtype=int)
+    with np.errstate(divide="ignore"):      # finished lanes step by 0
+        while (t < t_end).any():
+            h_used, y_new, k, acc, h, under = step_lanes(
+                _van_der_pol, t, y, f, h, t_end, 1e-6, 1e-8)
+            acc &= t < t_end
+            assert not (under & (t < t_end)).any()
+            steps += acc
+            t = np.where(acc, t + h_used, t)
+            y = tuple(np.where(acc, a, b) for a, b in zip(y_new, y))
+            f = tuple(np.where(acc, a, b) for a, b in zip(k[6], f))
+    for i, y0 in enumerate(starts):
+        ref = integrate(_van_der_pol, y0, (0.0, 20.0), rel_tol=1e-6,
+                        abs_tol=1e-8)
+        assert steps[i] == len(ref.ts) - 1
+        np.testing.assert_allclose([c[i] for c in y], ref.ys[-1], rtol=1e-12)
+
+
+def test_lane_crossings_match_the_dense_interpolant():
+    # upward crossings of v = 0 refined on lanes against Brent's method on
+    # the tuple engine's interpolant
+    traj = integrate(_van_der_pol, (2.0, 0.0), (0.0, 30.0), rel_tol=1e-6,
+                     abs_tol=1e-8)
+    _, events = detect_events(_van_der_pol, (2.0, 0.0), (0.0, 30.0),
+                              [lambda t, y: y[0]], rel_tol=1e-6, abs_tol=1e-8)
+    ups = [e.t for e in events if e.direction > 0]
+    v = traj.ys[:, 0]
+    rising = np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0))
+    assert len(rising) == len(ups) >= 3
+    ts, h = traj.ts[rising], np.diff(traj.ts)[rising]
+    # the stage derivatives of v in each rising step, stepped again
+    step = _dopri_step(2)
+    stages = np.array([[k[0] for k in step(
+        _van_der_pol, ts[j], tuple(traj.ys[i]), _van_der_pol(0.0, traj.ys[i]),
+        h[j], 1e-6, 1e-8)[1]] for j, i in enumerate(rising)]).T
+    found = lane_crossings(ts, h, v[rising], stages, 0.0)
+    np.testing.assert_allclose(found, ups, rtol=0, atol=1e-11)

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from burstlab import StepSizeError, landscape
 from burstlab.landscape import (PERIOD, RE_LAMBDA, ContourSet, GridSpec,
                                 ScalarField, build_field, extract_contours,
                                 orbit_period, relambda)
+
+from burstlab.figures import FIG6_WINDOW
 
 from oracles import relambda_level_ca_oracle
 
@@ -143,20 +146,32 @@ def test_relambda_against_level_oracle(reduced, curves2):
     assert relambda(reduced, (ca_level, na)) == pytest.approx(-0.05, abs=1e-4)
 
 
-def test_build_field_constant_stub(reduced, monkeypatch):
-    monkeypatch.setattr(landscape, "orbit_period",
-                        lambda fast, slow, **kw: 12.5)
+def test_build_field_constant_stub(reduced):
+    # every lane integrates one harmonic oscillator about the -20 mV level
+    # with period 12.5 ms; the lanes do identical arithmetic, so every node
+    # gets the same value, which the integration gives to rel_tol
+    w = 2.0 * math.pi / 12.5
+
+    class Oscillator(type(reduced)):
+        def lane_rhs(self, slows):
+            def rhs(t, y):
+                v, n = y
+                return -w * n, w * (v + 20.0)
+            return rhs
+
     grid = GridSpec(0.0, 0.3, 5.0, 5.4, 4, 4)
-    field = build_field(PERIOD, grid, reduced, workers=1)
-    assert (field.values == 12.5).all()
+    field = build_field(PERIOD, grid, Oscillator(reduced.params), workers=1)
+    assert (field.values == field.values[0, 0]).all()
+    assert field.values[0, 0] == pytest.approx(12.5, rel=1e-6)
+    assert (field.status == landscape.DEFINED).all()
 
 
 def test_build_field_uses_the_model_it_is_given(reduced):
     class Counting(type(reduced)):
         calls = 0
 
-        def frozen_rhs(self, slow):
-            rhs = super().frozen_rhs(slow)
+        def lane_rhs(self, slows):
+            rhs = super().lane_rhs(slows)
 
             def counted(t, y):
                 Counting.calls += 1
@@ -175,6 +190,9 @@ def _failing_model(reduced, exc):
                 raise exc
             return rhs
 
+        def lane_rhs(self, slows):
+            return self.frozen_rhs(None)
+
     return Failing(reduced.params)
 
 
@@ -183,6 +201,94 @@ def test_build_field_propagates_programming_errors(reduced):
     with pytest.raises(TypeError, match="forced"):
         build_field(PERIOD, grid, _failing_model(reduced, TypeError("forced")),
                     workers=1)
+
+
+def test_period_lanes_match_orbit_period(reduced):
+    # the lockstep lanes against the tuple engine, node by node; they differ
+    # by the ulps of the array sigmoid and cosh, which can flip a step's
+    # accept decision
+    grid = replace(FIG6_WINDOW, n_ca=21, n_na=21)
+    field = build_field(PERIOD, grid, reduced, workers=1)
+    scalar = np.array([[orbit_period(reduced, (ca, na)) or math.nan
+                        for na in grid.na_axis()] for ca in grid.ca_axis()])
+    defined = np.isfinite(scalar)
+    assert np.array_equal(field.defined_mask(), defined)
+    assert defined.sum() > 100
+    rel = np.abs(field.values[defined] / scalar[defined] - 1.0)
+    assert rel.max() < 1e-6
+    assert np.array_equal(field.status == landscape.DEFINED, defined)
+
+
+def test_period_field_independent_of_chunks_and_workers(reduced):
+    grid = replace(FIG6_WINDOW, n_ca=6, n_na=5)
+    one = build_field(PERIOD, grid, reduced, workers=1)
+    two = build_field(PERIOD, grid, reduced, workers=2)
+    nodes = [(ca, na) for ca in grid.ca_axis() for na in grid.na_axis()]
+    parts = [landscape._period_lanes(reduced, nodes[:11]),
+             landscape._period_lanes(reduced, nodes[11:])]
+    by_hand = [np.concatenate(p).reshape(one.values.shape)
+               for p in zip(*parts)]
+    assert np.isfinite(one.values).sum() >= 4
+    for values, status in ((two.values, two.status), tuple(by_hand)):
+        assert np.array_equal(values, one.values, equal_nan=True)
+        assert np.array_equal(status, one.status)
+
+
+def test_period_lane_status_at_known_points(reduced, curves2):
+    snic, ah = curves2
+    points = [(snic.ca_at(5.5) - 0.05, 5.5),             # left of SNIC
+              (ah.ca_at(5.2) + 0.0015, 5.2),             # just right of AH
+              (0.5 * (snic.ca_at(5.2) + ah.ca_at(5.2)), 5.2)]
+    values, status = landscape._period_lanes(reduced, points)
+    assert list(status) == [landscape.QUIESCENT, landscape.DECAYED,
+                            landscape.DEFINED]
+    assert np.isnan(values[:2]).all() and 5.0 < values[2] < 40.0
+
+
+def test_period_lane_step_failure_is_local(reduced):
+    grid = replace(FIG6_WINDOW, n_ca=4, n_na=4)
+    bad = (float(grid.ca_axis()[2]), float(grid.na_axis()[1]))
+
+    class NotANumber(type(reduced)):
+        def lane_rhs(self, slows):
+            rhs = super().lane_rhs(slows)
+            broken = np.array([slow == bad for slow in slows])
+
+            def rhs_nan(t, y):
+                return tuple(np.where(broken, math.nan, d) for d in rhs(t, y))
+            return rhs_nan
+
+    good = build_field(PERIOD, grid, reduced, workers=1)
+    field = build_field(PERIOD, grid, NotANumber(reduced.params), workers=1)
+    assert field.status[2, 1] == landscape.STEP_FAILURE
+    assert np.isnan(field.values[2, 1])
+    assert good.status[2, 1] != landscape.STEP_FAILURE
+    others = np.ones(grid.n_ca * grid.n_na, dtype=bool).reshape(4, 4)
+    others[2, 1] = False
+    assert np.array_equal(field.values[others], good.values[others],
+                          equal_nan=True)
+    assert np.array_equal(field.status[others], good.status[others])
+
+
+def test_period_lanes_keep_three_crossings_for_one_gap(reduced):
+    # with n_gaps = 1 a lane still keeps the 3 crossings the verdict needs
+    points = [(0.15, 5.2), (0.2, 5.3), (0.25, 5.4)]
+    values, status = landscape._period_lanes(reduced, points, n_gaps=1)
+    assert list(status) == [landscape.DEFINED] * 3
+    scalar = [orbit_period(reduced, p, n_gaps=1) for p in points]
+    np.testing.assert_allclose(values, scalar, rtol=1e-6)
+    with pytest.raises(ValueError):
+        landscape._period_lanes(reduced, points, n_gaps=0)
+
+
+def test_period_lane_step_budget(reduced, monkeypatch):
+    # a window that spends the step budget ends its lane as a step failure,
+    # as integrate's StepSizeError makes orbit_period undefined; a 500 ms
+    # transient at steps of at most 1 ms needs more than 400 steps
+    monkeypatch.setattr(landscape, "MAX_STEPS", 400)
+    values, status = landscape._period_lanes(reduced, [(0.2, 5.3), (0.0, 5.0)])
+    assert list(status) == [landscape.STEP_FAILURE] * 2
+    assert np.isnan(values).all()
 
 
 def test_orbit_period_step_failure_is_undefined(reduced):
