@@ -23,7 +23,8 @@ from scipy.optimize import brentq
 
 from .bifurcation import BifCurve, find_equilibria
 from .integrate import (MAX_STEP, EventRecord, Trajectory,
-                        append_closed_form, detect_events, integrate)
+                        append_closed_form, detect_events, integrate,
+                        sign_changes)
 from .paths import EllipsePath
 
 log = logging.getLogger(__name__)
@@ -133,13 +134,10 @@ def path_crossings(path: EllipsePath, snic: BifCurve, ah: BifCurve,
     ca, na = path.point(ts, np.cos, np.sin)
     found = []
     for index, curve in enumerate((snic, ah)):
-        g = ca - curve.ca_at_array(na)
-        g0, g1 = g[:-1], g[1:]
         offset = lambda t: curve.horizontal_offset(*path.point(t))
-        for k in np.nonzero(((g0 < 0.0) & (g1 >= 0.0))
-                            | ((g0 > 0.0) & (g1 <= 0.0)))[0]:
+        for k, direction in sign_changes(ca - curve.ca_at_array(na)):
             te = brentq(offset, ts[k], ts[k + 1], xtol=1e-12, rtol=8.9e-16)
-            found.append((te, index, 1 if g1[k] > g0[k] else -1))
+            found.append((te, index, direction))
     return sorted(found)
 
 

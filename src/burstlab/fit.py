@@ -9,9 +9,9 @@ terms carry zero weight by default and are reported, not optimized.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,7 +19,7 @@ from .bifurcation import BifCurve
 from .features import (ClassificationError, FeatureVector, burst_features,
                        feature_distance, run_driven)
 from .integrate import StepSizeError
-from .landscape import sweep_workers
+from .landscape import _map, sweep_workers
 from .model import FullFast, ReducedFast
 from .params import InvalidParameterError, ModelParams
 from .paths import EllipsePath
@@ -122,11 +122,6 @@ def _evaluate(problem: FitProblem, values: dict):
                      sequence=f"error: {exc}")
     dist = feature_distance(fv, problem.target, problem.weights)
     return Trial(values=values, distance=dist, db=True, sequence="DB")
-
-
-def _eval_task(args):
-    problem, values = args
-    return _evaluate(problem, values)
 
 
 def latin_hypercube(bounds: dict, n: int, seed: int):
@@ -233,12 +228,7 @@ def fit_path(problem: FitProblem, workers: Optional[int] = None) -> FitResult:
         workers = sweep_workers()
     n_sample = math.ceil(problem.budget / 3)
     samples = latin_hypercube(problem.bounds, n_sample, problem.seed)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            phase1 = list(pool.map(_eval_task,
-                                   [(problem, s) for s in samples]))
-    else:
-        phase1 = [_evaluate(problem, s) for s in samples]
+    phase1 = _map(functools.partial(_evaluate, problem), workers, samples)
     trials = list(phase1)
     db_trials = [tr for tr in phase1 if tr.db]
     if not db_trials:

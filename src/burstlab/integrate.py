@@ -7,9 +7,11 @@ sweeps need that throughput. The tableau is written once, as data, and the
 step for each dimension is generated from it on first use as straight-line
 code over local floats: CPython charges for every loop iteration and tuple
 it builds, so a step that loops over components costs about a quarter more.
-Dense output uses the standard fourth-order interpolant of the pair; event
-times are localized on it by Brent's method, decoupled from step-size
-control.
+Dense output uses the standard fourth-order interpolant of the pair. Events
+are localized after the solve: the test functions are evaluated at the
+accepted steps of the finished trajectory and each sign change is refined
+on that step's interpolant by Brent's method, so event times do not depend
+on step-size control.
 
 The same generated source also serves lanes: a state that is a tuple of
 numpy arrays, one element per independent problem, advanced in lockstep by
@@ -68,8 +70,8 @@ _MAX_FACTOR = 10.0
 _MIN_FACTOR = 0.2
 _SAFETY = 0.9
 
-MAX_STEP = 1.0          # ms, the default largest step: no spike is skipped
-MAX_STEPS = 400_000     # the default accepted-step budget of one solve
+MAX_STEP = 1.0          # ms, the largest step: no spike is skipped
+MAX_STEPS = 400_000     # the accepted-step budget of one solve
 
 
 class StepSizeError(RuntimeError):
@@ -125,13 +127,8 @@ class Trajectory:
                       0, len(self.ts) - 2)
         h = self.ts[idx + 1] - self.ts[idx]
         x = (tq - self.ts[idx]) / h
-        d = self._dense[idx]                      # (m, 4, dim)
-        xs = x[:, None]
-        acc = d[:, 3, :]
-        acc = d[:, 2, :] + xs * acc
-        acc = d[:, 1, :] + xs * acc
-        acc = d[:, 0, :] + xs * acc
-        out = self.ys[idx] + (h * x)[:, None] * acc
+        out = _interpolant(self.ys[idx], h[:, None], x[:, None],
+                           self._dense[idx].transpose(1, 0, 2))
         return out[0] if scalar else out
 
     def write_csv(self, fh, columns: Optional[Sequence[str]] = None) -> None:
@@ -163,7 +160,7 @@ TUPLES = _Ops(math.sqrt, max, min, _pick)
 LANES = _Ops(np.sqrt, np.maximum, np.minimum, np.where)
 
 
-def initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step, ops=TUPLES):
+def initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, ops=TUPLES):
     """The first step size of a solve from (t0, y0) with f0 = rhs(t0, y0),
     after Hairer, Norsett and Wanner (Solving ODEs I, II.4); on lanes with
     ops=LANES, one per lane."""
@@ -180,7 +177,7 @@ def initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step, ops=TUPLES):
                   for a, b, si in zip(f1, f0, scale)) / len(y0)) / h0
     h1 = where((d1 <= 1e-15) & (d2 <= 1e-15), maximum(1e-6, h0 * 1e-3),
                (0.01 / maximum(maximum(d1, d2), 1e-15)) ** 0.2)
-    return minimum(minimum(100.0 * h0, h1), max_step)
+    return minimum(minimum(100.0 * h0, h1), MAX_STEP)
 
 
 def _weighted(weights, i):
@@ -225,16 +222,16 @@ def step_lanes(rhs, t, y, f, h, t_end, rel_tol, abs_tol):
 
     t, h and t_end are arrays of one shape, y and f tuples of such arrays,
     and rhs(t, y) maps them alike. Each lane integrates its own window
-    [t0, t_end] with t0 >= 0 and follows _solve's control at the default
-    MAX_STEP: the step is clipped to MAX_STEP and to the window end,
-    accepted when err <= 1, and the next step size comes from err.
+    [t0, t_end] with t0 >= 0 and follows integrate's control: the step is
+    clipped to MAX_STEP and to the window end, accepted when err <= 1, and
+    the next step size comes from err.
 
     Returns (h_used, y_new, k_step, accepted, h_next, underflow). underflow
-    marks the lanes whose clipped step fell below _solve's bound, or is not
-    a number; _solve raises StepSizeError there instead of stepping.
+    marks the lanes whose clipped step fell below integrate's bound, or is
+    not a number; integrate raises StepSizeError there instead of stepping.
     """
     h_used = np.minimum(np.minimum(h, MAX_STEP), t_end - t)
-    # _solve's 1e-14 max(|t0|, |t1|, t1 - t0) for 0 <= t0 < t1
+    # integrate's 1e-14 max(|t0|, |t1|, t1 - t0) for 0 <= t0 < t1
     underflow = ~(h_used >= 1e-14 * t_end)
     y_new, k_step, err = _dopri_step(len(y), LANES)(rhs, t, y, f, h_used,
                                                     rel_tol, abs_tol)
@@ -258,10 +255,11 @@ def lane_crossings(t, h, y0, k, level):
     A lane stops iterating once its own root has converged, so its time does
     not depend on the other lanes.
     """
-    c0, c1, c2, c3 = _dense_coefficients(k.T[:, :, None])[:, :, 0].T
+    c = _dense_coefficients(k.T[:, :, None])[:, :, 0].T
+    c0, c1, c2, c3 = c
 
     def excess(x):
-        return y0 + h * x * (c0 + x * (c1 + x * (c2 + x * c3))) - level
+        return _interpolant(y0, h, x, c) - level
 
     lo = np.zeros_like(h)
     hi = np.ones_like(h)
@@ -283,18 +281,12 @@ def lane_crossings(t, h, y0, k, level):
     return t + x * h
 
 
-def _dense_eval(y0, h, k_step, x):
-    """Scalar dense-output evaluation within one step (lists of tuples)."""
-    out = []
-    for i in range(len(y0)):
-        acc = 0.0
-        for j in (3, 2, 1, 0):
-            coef = 0.0
-            for s in range(7):
-                coef += _P[s, j] * k_step[s][i]
-            acc = coef + x * acc
-        out.append(y0[i] + h * x * acc)
-    return tuple(out)
+def _interpolant(y0, h, x, c):
+    """The dense output at the fraction x of a step of size h from y0, with
+    c the four interpolant coefficients stacked on the first axis, as
+    _dense_coefficients gives them per step; the arguments broadcast."""
+    c0, c1, c2, c3 = c
+    return y0 + h * x * (c0 + x * (c1 + x * (c2 + x * c3)))
 
 
 def _dense_coefficients(k):
@@ -322,8 +314,26 @@ def append_closed_form(traj: Trajectory, y: Callable, dy: Callable) -> Trajector
         traj.rel_tol, traj.abs_tol)
 
 
-def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
-           max_steps):
+def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
+              abs_tol: float = 1e-8) -> Trajectory:
+    """Integrate y' = rhs(t, y) over t_span with dense output.
+
+    Parameters
+    ----------
+    rhs : callable(t, y) -> tuple of derivatives
+    y0 : initial state (sequence of floats)
+    t_span : (t0, t1) with t1 > t0, in ms
+    rel_tol, abs_tol : local error tolerances, each in (0, 1e-2]
+
+    Steps are at most MAX_STEP long, so no spike is skipped, and at most
+    MAX_STEPS are accepted, which guards memory on runaway problems.
+
+    Raises
+    ------
+    StepSizeError
+        on step-size underflow or an exhausted step budget; the exception
+        carries the last good time.
+    """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0):
         raise ValueError("t_span must satisfy t1 > t0")
@@ -334,21 +344,16 @@ def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
     f = tuple(rhs(t0, y))
     if len(f) != dim:
         raise ValueError("rhs dimension does not match the initial state")
-    h = initial_step(rhs, t0, y, f, rel_tol, abs_tol, max_step)
-    span = t1 - t0
-    h_min = 1e-14 * max(abs(t0), abs(t1), span)
+    h = initial_step(rhs, t0, y, f, rel_tol, abs_tol)
+    h_min = 1e-14 * max(abs(t0), abs(t1), t1 - t0)
     step = _dopri_step(dim)
 
     ts = [t0]
     ys = [y]
     ks = []
-    events: list[EventRecord] = []
-    if event_fns:
-        g_prev = [fn(t0, y) for fn in event_fns]
     t = t0
-
     while t < t1:
-        h = min(h, max_step, t1 - t)
+        h = min(h, MAX_STEP, t1 - t)
         if h < h_min:
             raise StepSizeError(
                 f"step size underflow at t = {t:.6g} ms", t)
@@ -362,79 +367,58 @@ def _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, event_fns, labels,
                     f"step size underflow at t = {t:.6g} ms", t)
         factor = _MAX_FACTOR if err == 0.0 else min(
             _MAX_FACTOR, _SAFETY * err ** -0.2)
-        t_new = t + h
-        if event_fns:
-            for ie, fn in enumerate(event_fns):
-                g_new = fn(t_new, y_new)
-                g_old = g_prev[ie]
-                if (g_old < 0.0 <= g_new) or (g_old > 0.0 >= g_new):
-                    x_root = brentq(
-                        lambda x: fn(t + x * h, _dense_eval(y, h, k_step, x)),
-                        0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
-                    te = t + x_root * h
-                    ye = _dense_eval(y, h, k_step, x_root)
-                    events.append(EventRecord(
-                        index=ie, t=te, y=ye,
-                        direction=1 if g_new > g_old else -1,
-                        label=labels[ie] if labels else ""))
-                g_prev[ie] = g_new
-
-        ts.append(t_new)
-        ys.append(y_new)
+        t += h
+        y, f = y_new, k_step[6]
+        ts.append(t)
+        ys.append(y)
         ks.append(k_step)
-        t, y, f = t_new, y_new, k_step[6]
         h *= factor
-        if len(ts) > max_steps:
+        if len(ts) > MAX_STEPS:
             raise StepSizeError(
-                f"step budget ({max_steps}) exceeded at t = {t:.6g} ms; "
+                f"step budget ({MAX_STEPS}) exceeded at t = {t:.6g} ms; "
                 "the problem is far stiffer than this engine expects", t)
-
-    ts_arr = np.array(ts)
-    ys_arr = np.array(ys)
-    traj = Trajectory(ts_arr, ys_arr, _dense_coefficients(np.array(ks)),
-                      rel_tol, abs_tol)
-    events.sort(key=lambda e: e.t)
-    return traj, events
+    return Trajectory(np.array(ts), np.array(ys),
+                      _dense_coefficients(np.array(ks)), rel_tol, abs_tol)
 
 
-def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
-              abs_tol: float = 1e-8, max_step: float = MAX_STEP,
-              max_steps: int = MAX_STEPS) -> Trajectory:
-    """Integrate y' = rhs(t, y) over t_span with dense output.
-
-    Parameters
-    ----------
-    rhs : callable(t, y) -> tuple of derivatives
-    y0 : initial state (sequence of floats)
-    t_span : (t0, t1) with t1 > t0, in ms
-    rel_tol, abs_tol : local error tolerances, each in (0, 1e-2]
-    max_step : largest step in ms; the 1 ms default prevents skipping spikes
-    max_steps : accepted-step budget guarding memory on runaway problems
-
-    Raises
-    ------
-    StepSizeError
-        on step-size underflow or an exhausted step budget; the exception
-        carries the last good time.
-    """
-    traj, _ = _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step, None, None,
-                     max_steps)
-    return traj
+def sign_changes(g):
+    """(k, direction) for every k at which the samples g change sign from
+    g[k] to g[k + 1]: upward (+1) when g[k] < 0 <= g[k + 1], downward (-1)
+    when g[k] > 0 >= g[k + 1]. A zero sample counts once, on the interval
+    that reaches it."""
+    g = np.asarray(g, dtype=float)
+    g0, g1 = g[:-1], g[1:]
+    ks = np.flatnonzero(((g0 < 0.0) & (g1 >= 0.0)) | ((g0 > 0.0) & (g1 <= 0.0)))
+    return [(int(k), 1 if g1[k] > g0[k] else -1) for k in ks]
 
 
 def detect_events(rhs: Callable, y0, t_span, event_fns: Sequence[Callable],
                   rel_tol: float = 1e-8, abs_tol: float = 1e-8,
-                  max_step: float = MAX_STEP,
-                  labels: Optional[Sequence[str]] = None,
-                  max_steps: int = MAX_STEPS):
+                  labels: Optional[Sequence[str]] = None):
     """Integrate and localize every sign change of the scalar test functions.
 
-    Each event function is evaluated at the accepted step endpoints; a sign
-    change is refined on the dense interpolant with Brent's method, so event
-    accuracy does not depend on step-size control decisions.
+    After the solve, each event function fn(t, y) is evaluated at the
+    accepted steps; a sign change over a step is refined on that step's
+    dense interpolant with Brent's method, so event accuracy does not depend
+    on step-size control decisions.
 
     Returns (Trajectory, list of EventRecord sorted by time).
     """
-    return _solve(rhs, y0, t_span, rel_tol, abs_tol, max_step,
-                  list(event_fns), list(labels) if labels else None,
-                  max_steps)
+    traj = integrate(rhs, y0, t_span, rel_tol, abs_tol)
+    ts = traj.ts.tolist()
+    knots = [tuple(y) for y in traj.ys.tolist()]
+    found = sorted((k, index, direction)
+                   for index, fn in enumerate(event_fns)
+                   for k, direction in sign_changes(
+                       [fn(t, y) for t, y in zip(ts, knots)]))
+    events = []
+    for k, index, direction in found:
+        fn, t, h = event_fns[index], ts[k], ts[k + 1] - ts[k]
+        at = functools.partial(_interpolant, traj.ys[k], h, c=traj._dense[k])
+        x = brentq(lambda x: fn(t + x * h, at(x)), 0.0, 1.0,
+                   xtol=1e-12, rtol=8.9e-16)
+        events.append(EventRecord(index=index, t=t + x * h,
+                                  y=tuple(at(x).tolist()), direction=direction,
+                                  label=labels[index] if labels else ""))
+    events.sort(key=lambda e: e.t)
+    return traj, events

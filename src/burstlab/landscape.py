@@ -23,9 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bifurcation
-from .integrate import (LANES, MAX_STEP, MAX_STEPS, StepSizeError,
-                        detect_events, initial_step, integrate, lane_crossings,
-                        step_lanes)
+from .integrate import (LANES, MAX_STEPS, StepSizeError, detect_events,
+                        initial_step, integrate, lane_crossings, step_lanes)
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +140,7 @@ class ScalarField:
 def orbit_period(fast, slow, *, level: float = -20.0, t_transient: float = 500.0,
                  t_measure: float = 400.0, n_gaps: int = 5,
                  spread_tol: float = 1e-3, rel_tol: float = 1e-6,
-                 abs_tol: float = 1e-8, _retry: bool = True) -> Optional[float]:
+                 abs_tol: float = 1e-8) -> Optional[float]:
     """Period (ms) of the attracting periodic orbit at a frozen slow point.
 
     Integrates from the standard seed (v = level, gates slaved) through a
@@ -154,23 +153,21 @@ def orbit_period(fast, slow, *, level: float = -20.0, t_transient: float = 500.0
     """
     rhs = fast.frozen_rhs(slow)
     y0 = fast.slaved(level)
-    try:
-        tr = integrate(rhs, y0, (0.0, t_transient), rel_tol=rel_tol, abs_tol=abs_tol)
-        y1 = tuple(tr.ys[-1])
-        traj, evs = detect_events(rhs, y1, (t_transient, t_transient + t_measure),
-                                  [lambda t, y: y[0] - level],
-                                  rel_tol=rel_tol, abs_tol=abs_tol)
-    except StepSizeError:
-        return None
-    ups = [e.t for e in evs if e.direction > 0]
-    status, period = _period_verdict(ups, *_cycle_amplitudes(traj, ups),
-                                     n_gaps, spread_tol)
-    if status in (UNCONVERGED, DECAYED) and _retry:
-        return orbit_period(fast, slow, level=level,
-                            t_transient=2.0 * t_transient,
-                            t_measure=t_measure, n_gaps=n_gaps,
-                            spread_tol=spread_tol, rel_tol=rel_tol,
-                            abs_tol=abs_tol, _retry=False)
+    for t_warm in (t_transient, 2.0 * t_transient):
+        try:
+            tr = integrate(rhs, y0, (0.0, t_warm), rel_tol=rel_tol,
+                           abs_tol=abs_tol)
+            traj, evs = detect_events(rhs, tuple(tr.ys[-1]),
+                                      (t_warm, t_warm + t_measure),
+                                      [lambda t, y: y[0] - level],
+                                      rel_tol=rel_tol, abs_tol=abs_tol)
+        except StepSizeError:
+            return None
+        ups = [e.t for e in evs if e.direction > 0]
+        status, period = _period_verdict(ups, *_cycle_amplitudes(traj, ups),
+                                         n_gaps, spread_tol)
+        if status not in (UNCONVERGED, DECAYED):
+            break
     return period
 
 
@@ -235,8 +232,7 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
     t = np.zeros(n)
     y_seed = tuple(np.full(n, c) for c in fast.slaved(level))
     f_seed = rhs(t, y_seed)
-    h_seed = initial_step(rhs, t, y_seed, f_seed, rel_tol, abs_tol, MAX_STEP,
-                          LANES)
+    h_seed = initial_step(rhs, t, y_seed, f_seed, rel_tol, abs_tol, LANES)
     retried = np.zeros(n, dtype=bool)
     n_ups = np.zeros(n, dtype=int)
     ring = np.zeros((n, ring_len, 10))      # t, h, v and the 7 v-stages
@@ -319,7 +315,7 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
                     h[sel] = initial_step(
                         fast.lane_rhs([slows[i] for i in ids[sel]]), t[sel],
                         tuple(c[sel] for c in y), tuple(c[sel] for c in f),
-                        rel_tol, abs_tol, MAX_STEP, LANES)
+                        rel_tol, abs_tol, LANES)
                     t_end[sel] += t_measure
                     g_prev[sel] = y[0][sel] - level
                     n_ups[ids[sel]] = 0

@@ -79,10 +79,11 @@ def test_fit_smoke_and_invariants(small_problem):
     assert result.best_distance == min(tr.distance for tr in db)
     assert result.best_distance < PENALTY
     assert len(result.trials) <= small_problem.budget + 1
-    # deterministic repeat
-    again = fit_path(small_problem, workers=1)
-    assert again.best_distance == result.best_distance
-    assert [t.values for t in again.trials] == [t.values for t in result.trials]
+    # deterministic repeat, also when phase 1 runs in a process pool
+    for workers in (1, 2):
+        again = fit_path(small_problem, workers=workers)
+        assert again.best_distance == result.best_distance
+        assert again.trials == result.trials
 
 
 def test_fit_penalizes_non_db(reduced, curves2, fig4_d1_trace):

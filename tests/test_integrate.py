@@ -73,6 +73,28 @@ def test_multiple_event_functions_and_labels():
     assert events[1].index == 1
 
 
+def test_event_on_a_knot_is_reported_once():
+    # a root exactly at an accepted step: g reaches 0 at the end of one step
+    # and leaves 0 at the start of the next, and only the first counts
+    span, tols = (0.0, 20.0), dict(rel_tol=1e-6, abs_tol=1e-8)
+    traj = integrate(_van_der_pol, (2.0, 0.0), span, **tols)
+    k = len(traj.ts) // 2
+    t_k = traj.ts[k]
+    again, events = detect_events(_van_der_pol, (2.0, 0.0), span,
+                                  [lambda t, y: t - t_k], **tols)
+    assert np.array_equal(again.ts, traj.ts)
+    assert [(e.t, e.direction) for e in events] == [(t_k, 1)]
+
+
+def test_event_states_lie_on_the_dense_output():
+    traj, events = detect_events(_van_der_pol, (2.0, 0.0), (0.0, 30.0),
+                                 [lambda t, y: y[0], lambda t, y: y[1] - 0.5],
+                                 rel_tol=1e-6, abs_tol=1e-8)
+    assert len(events) > 10
+    for e in events:
+        np.testing.assert_allclose(e.y, traj.sample(e.t), rtol=0, atol=1e-12)
+
+
 def test_step_size_underflow_diagnostic():
     # finite-time blow-up y' = y^2 from y(0) = 1 explodes at t = 1
     def rhs(t, y):
@@ -110,7 +132,7 @@ def test_rk4_agrees_with_adaptive_on_fast_subsystem(reduced):
 
 
 def test_max_step_honored():
-    traj = integrate(lambda t, y: (0.0,), (1.0,), (0.0, 10.0), max_step=1.0)
+    traj = integrate(lambda t, y: (0.0,), (1.0,), (0.0, 10.0))
     assert np.diff(traj.ts).max() <= 1.0 + 1e-12
 
 
@@ -226,7 +248,7 @@ def test_lanes_follow_the_tuple_engine():
     y = tuple(np.array(c) for c in zip(*starts))
     t = np.zeros(len(starts))
     f = _van_der_pol(t, y)
-    h = initial_step(_van_der_pol, t, y, f, 1e-6, 1e-8, 1.0, LANES)
+    h = initial_step(_van_der_pol, t, y, f, 1e-6, 1e-8, LANES)
     steps = np.zeros(len(starts), dtype=int)
     with np.errstate(divide="ignore"):      # finished lanes step by 0
         while (t < t_end).any():
