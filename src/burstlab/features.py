@@ -132,9 +132,10 @@ def path_crossings(path: EllipsePath, snic: BifCurve, ah: BifCurve,
     """
     ts = np.linspace(0.0, t_end, math.ceil(t_end / MAX_STEP) + 1)
     ca, na = path.point(ts, np.cos, np.sin)
+    point = path.closed_form()
     found = []
     for index, curve in enumerate((snic, ah)):
-        offset = lambda t: curve.horizontal_offset(*path.point(t))
+        offset = lambda t: curve.horizontal_offset(*point(t))
         for k, direction in sign_changes(ca - curve.ca_at_array(na)):
             te = brentq(offset, ts[k], ts[k + 1], xtol=1e-12, rtol=8.9e-16)
             found.append((te, index, direction))
@@ -153,7 +154,7 @@ def _spikes_in_window(traj, t0, t1, threshold=SPIKE_THRESHOLD,
                       refractory=SPIKE_REFRACTORY):
     n = max(2, int(math.ceil((t1 - t0) / _DENSE_DT)))
     ts = np.linspace(t0, min(t1, traj.t1), n)
-    vs = traj.sample(ts)[:, 0]
+    vs = traj.sample(ts, 0)
     return tuple(detect_spikes(ts, vs, threshold, refractory))
 
 
@@ -192,7 +193,7 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
     fast_traj = integrate(fast.path_rhs(path),
                           _rest_state(fast, (path.ca0, path.na0)), (0.0, t2),
                           rel_tol=rel_tol, abs_tol=abs_tol)
-    point = lambda t: path.point(t, np.cos, np.sin)
+    point = path.closed_form(np.cos, np.sin)
     traj = append_closed_form(fast_traj, point, lambda t: path.rhs(point(t)))
     window = [c for c in crossings if _in_window(c[0], t1, t2)]
     events = tuple(
@@ -331,9 +332,9 @@ def _window_vmax(trace: BurstTrace, t0: float, t1: float) -> float:
     traj = trace.trajectory
     hi = min(t1, traj.t1)
     if hi <= t0:
-        return float(traj.sample(traj.t1)[0])
+        return float(traj.sample(traj.t1, 0))
     ts = np.linspace(t0, hi, max(2, int((hi - t0) / 0.5)))
-    return float(traj.sample(ts)[:, 0].max())
+    return float(traj.sample(ts, 0).max())
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,7 @@ def burst_features(trace: BurstTrace, threshold: float = SPIKE_THRESHOLD) -> Fea
     traj = trace.trajectory
     ts = np.linspace(trace.t_start, min(trace.t_end, traj.t1),
                      max(2, int(trace.period / 0.25)))
-    v_floor = float(traj.sample(ts)[:, 0].min())
+    v_floor = float(traj.sample(ts, 0).min())
     return FeatureVector(
         period=trace.period,
         first_spike_delay=(stage2[0].t - t_s1) if stage2 else None,
@@ -504,7 +505,7 @@ def min_oscillation_amplitude(trace: BurstTrace, t0: float, t1: float,
     ts = np.arange(t0, hi, dt)
     if len(ts) < 3:
         return 0.0
-    v = traj.sample(ts)[:, 0]
+    v = traj.sample(ts, 0)
     dv = np.diff(v)
     sign = np.sign(dv)
     turns = np.nonzero(sign[1:] * sign[:-1] < 0)[0] + 1

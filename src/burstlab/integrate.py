@@ -22,6 +22,7 @@ lane does the tuple step's arithmetic in the same order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -93,16 +94,25 @@ class EventRecord:
     label: str = ""
 
 
+class SolverStats(NamedTuple):
+    """The work of one solve."""
+
+    steps: int          # accepted steps
+    rejected: int       # rejected step attempts
+    rhs_evals: int      # right-hand side evaluations
+
+
 class Trajectory:
     """Solution samples at the accepted steps plus a dense interpolant."""
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray, dense: np.ndarray,
-                 rel_tol: float, abs_tol: float):
+                 rel_tol: float, abs_tol: float, stats: SolverStats):
         self.ts = ts            # (n,)
         self.ys = ys            # (n, dim)
         self._dense = dense     # (n-1, 4, dim)
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
+        self.stats = stats
 
     @property
     def t0(self) -> float:
@@ -116,8 +126,10 @@ class Trajectory:
     def dim(self) -> int:
         return self.ys.shape[1]
 
-    def sample(self, t):
-        """Evaluate the dense interpolant at scalar or array times."""
+    def sample(self, t, col: Optional[int] = None):
+        """Evaluate the dense interpolant at scalar or array times: every
+        column, or only column col when given (sample(t, c) equals
+        sample(t)[..., c] bit for bit)."""
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         tq = np.atleast_1d(t_arr)
@@ -127,16 +139,22 @@ class Trajectory:
                       0, len(self.ts) - 2)
         h = self.ts[idx + 1] - self.ts[idx]
         x = (tq - self.ts[idx]) / h
-        out = _interpolant(self.ys[idx], h[:, None], x[:, None],
-                           self._dense[idx].transpose(1, 0, 2))
+        if col is None:
+            out = _interpolant(self.ys[idx], h[:, None], x[:, None],
+                               self._dense[idx].transpose(1, 0, 2))
+        else:
+            out = _interpolant(self.ys[idx, col], h, x,
+                               self._dense[idx, :, col].T)
         return out[0] if scalar else out
 
     def write_csv(self, fh, columns: Optional[Sequence[str]] = None) -> None:
+        """t and every column, one row per accepted step, each value with 17
+        significant digits, so it reads back exactly."""
         names = columns or [f"y{i}" for i in range(self.dim)]
         fh.write("t," + ",".join(names) + "\n")
-        for i in range(len(self.ts)):
-            row = ",".join(f"{val:.17g}" for val in self.ys[i])
-            fh.write(f"{self.ts[i]:.17g},{row}\n")
+        row = ",".join(["%.17g"] * (self.dim + 1)) + "\n"
+        fh.writelines(row % tuple(r) for r in
+                      np.column_stack([self.ts, self.ys]).tolist())
 
     def to_csv(self, path, columns: Optional[Sequence[str]] = None) -> None:
         with open(path, "w") as fh:
@@ -311,7 +329,7 @@ def append_closed_form(traj: Trajectory, y: Callable, dy: Callable) -> Trajector
     return Trajectory(
         ts, np.hstack([traj.ys, np.column_stack(y(ts))]),
         np.concatenate([traj._dense, _dense_coefficients(k)], axis=2),
-        traj.rel_tol, traj.abs_tol)
+        traj.rel_tol, traj.abs_tol, traj.stats)
 
 
 def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
@@ -326,7 +344,11 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
     rel_tol, abs_tol : local error tolerances, each in (0, 1e-2]
 
     Steps are at most MAX_STEP long, so no spike is skipped, and at most
-    MAX_STEPS are accepted, which guards memory on runaway problems.
+    MAX_STEPS are accepted, which guards memory on runaway problems. The
+    trajectory's stats count the accepted steps, the rejected attempts and
+    the rhs evaluations: two to start (f at t0 and the trial step of
+    initial_step), then six per attempt, the first stage being the last
+    one of the step before.
 
     Raises
     ------
@@ -352,6 +374,7 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
     ys = [y]
     ks = []
     t = t0
+    rejected = 0
     while t < t1:
         h = min(h, MAX_STEP, t1 - t)
         if h < h_min:
@@ -361,6 +384,7 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
             y_new, k_step, err = step(rhs, t, y, f, h, rel_tol, abs_tol)
             if err <= 1.0:
                 break
+            rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             if h < h_min:
                 raise StepSizeError(
@@ -377,8 +401,14 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
             raise StepSizeError(
                 f"step budget ({MAX_STEPS}) exceeded at t = {t:.6g} ms; "
                 "the problem is far stiffer than this engine expects", t)
-    return Trajectory(np.array(ts), np.array(ys),
-                      _dense_coefficients(np.array(ks)), rel_tol, abs_tol)
+    # flat float streams, reshaped: far cheaper than np.array on nested
+    # tuples
+    n = len(ks)
+    flat = itertools.chain.from_iterable
+    ys = np.fromiter(flat(ys), float, (n + 1) * dim).reshape(n + 1, dim)
+    ks = np.fromiter(flat(flat(ks)), float, n * 7 * dim).reshape(n, 7, dim)
+    return Trajectory(np.array(ts), ys, _dense_coefficients(ks), rel_tol,
+                      abs_tol, SolverStats(n, rejected, 2 + 6 * (n + rejected)))
 
 
 def sign_changes(g):

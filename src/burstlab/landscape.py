@@ -176,8 +176,8 @@ def _cycle_amplitudes(traj, ups):
     # samples each
     if len(ups) < 3:
         return 0.0, 0.0
-    va = traj.sample(np.linspace(ups[0], ups[1], 80))[:, 0]
-    vb = traj.sample(np.linspace(ups[-2], ups[-1], 80))[:, 0]
+    va = traj.sample(np.linspace(ups[0], ups[1], 80), 0)
+    vb = traj.sample(np.linspace(ups[-2], ups[-1], 80), 0)
     return float(va.max() - va.min()), float(vb.max() - vb.min())
 
 

@@ -218,16 +218,6 @@ class _FastSubsystem:
     def rhs(self, y, slow):
         return self._core(*y, *self._slow_currents(*slow))
 
-    def path_rhs(self, path):
-        """Fast state only; (Ca, Na) is the path's closed form at time t.
-        This is what run_driven integrates."""
-        core, slow_currents, point = self._core, self._slow_currents, path.point
-
-        def rhs(t, y):
-            return core(*y, *slow_currents(*point(t)))
-
-        return rhs
-
     def lane_rhs(self, slows):
         """rhs(t, y) of the frozen fast system at many slow points at once,
         one numpy lane per (Ca, Na) point: y is a tuple of arrays, element k
@@ -306,6 +296,30 @@ class ReducedFast(_FastSubsystem):
 
         return rhs
 
+    def path_rhs(self, path):
+        """Fast state (v, n) only; (Ca, Na) is the path's closed form at time
+        t. This is what run_driven integrates.
+
+        The forcing (a_can, i_pump) is a function of t alone, and the last
+        two stages of a Dormand-Prince step share their time t + h, so the
+        last (t, a_can, i_pump) is kept and reused at an equal t. It is one
+        tuple, replaced whole, so any call order gives the forcing at t.
+        """
+        core, slow_currents = self._core, self._slow_currents
+        point = path.closed_form()
+        last = (math.nan, 0.0, 0.0)
+
+        def rhs(t, y):
+            nonlocal last
+            t_last, a_can, i_pump = last
+            if t != t_last:
+                a_can, i_pump = slow_currents(*point(t))
+                last = (t, a_can, i_pump)
+            v, n = y
+            return core(v, n, a_can, i_pump)
+
+        return rhs
+
     def slaved(self, v: float):
         p = self.params
         return (v, gate_inf(v, p.theta_n, p.sigma_n))
@@ -344,6 +358,28 @@ class FullFast(_FastSubsystem):
         a_can, i_pump = self._slow_currents(*slow)
 
         def rhs(t, y):
+            v, n, m, h, s = y
+            return core(v, n, m, h, s, a_can, i_pump)
+
+        return rhs
+
+    def path_rhs(self, path):
+        """Fast state (v, n, m, h, s) only; (Ca, Na) is the path's closed
+        form at time t. This is what run_driven integrates.
+
+        As in ReducedFast.path_rhs, the last (t, a_can, i_pump) is kept,
+        because the last two stages of a step share their time.
+        """
+        core, slow_currents = self._core, self._slow_currents
+        point = path.closed_form()
+        last = (math.nan, 0.0, 0.0)
+
+        def rhs(t, y):
+            nonlocal last
+            t_last, a_can, i_pump = last
+            if t != t_last:
+                a_can, i_pump = slow_currents(*point(t))
+                last = (t, a_can, i_pump)
             v, n, m, h, s = y
             return core(v, n, m, h, s, a_can, i_pump)
 

@@ -4,10 +4,13 @@ A path is an ellipse with principal axes along the coordinate axes, traced
 counter-clockwise at constant angular speed eps. It can be evaluated in
 closed form or integrated as the linear rotation field EllipsePath.rhs; both
 views agree and the quadratic form Q below is conserved along the flow.
-Driven runs use the closed form: they integrate only the fast variables and
-read (Ca, Na) from EllipsePath.point. The rotation field remains for the
-full-state driven rhs of the fast subsystems, and it gives the path's
-velocity at any point.
+The closed form is written once, as the function EllipsePath.closed_form
+returns over the path's constants; EllipsePath.point evaluates it at one
+time. Driven runs use the closed form: they integrate only the fast
+variables and read (Ca, Na) from a closed_form function taken once per run,
+so a stage evaluation reads no path attribute. The rotation field remains
+for the full-state driven rhs of the fast subsystems, and it gives the
+path's velocity at any point.
 """
 from __future__ import annotations
 
@@ -51,17 +54,32 @@ class EllipsePath:
     def period(self) -> float:
         return 2.0 * math.pi / self.eps
 
+    def closed_form(self, cos=math.cos, sin=math.sin):
+        """The closed-form position as a function point(t), counter-clockwise
+        from t = 0, over the path's constants taken once.
+
+        Driven runs call it at every stage of every step, so it reads no
+        attribute per call. Pass np.cos and np.sin for a point(t) that takes
+        a numpy array of times.
+        """
+        eps, ca_c, na_c = self.eps, self.ca_c, self.na_c
+        dca = self.ca0 - ca_c
+        dna = self.na0 - na_c
+        d_dna, dca_d = self.d * dna, dca / self.d
+
+        def point(t):
+            c = cos(eps * t)
+            s = sin(eps * t)
+            return (ca_c + dca * c - d_dna * s, na_c + dna * c + dca_d * s)
+
+        return point
+
     def point(self, t, cos=math.cos, sin=math.sin):
         """Closed-form position at time t (counter-clockwise from t = 0).
 
         Pass np.cos and np.sin to evaluate a numpy array of times.
         """
-        c = cos(self.eps * t)
-        s = sin(self.eps * t)
-        dca = self.ca0 - self.ca_c
-        dna = self.na0 - self.na_c
-        return (self.ca_c + dca * c - self.d * dna * s,
-                self.na_c + dna * c + dca / self.d * s)
+        return self.closed_form(cos, sin)(t)
 
     def rhs(self, slow):
         """Rotation field whose solutions are this family of ellipses."""

@@ -136,7 +136,7 @@ def test_max_step_honored():
     assert np.diff(traj.ts).max() <= 1.0 + 1e-12
 
 
-def test_csv_export_format_and_determinism(tmp_path):
+def test_csv_export_format_and_determinism(fig4_d1_trace):
     traj = integrate(lambda t, y: (-y[0], -2.0 * y[1]), (1.0, 2.0),
                      (0.0, 1.0))
     buf1, buf2 = io.StringIO(), io.StringIO()
@@ -149,6 +149,56 @@ def test_csv_export_format_and_determinism(tmp_path):
     # 17 significant digits round-trip
     t_back = float(lines[-1].split(",")[0])
     assert t_back == traj.ts[-1]
+    # a 4-column driven trace renders as each value formatted on its own
+    driven = fig4_d1_trace.trajectory
+    buf = io.StringIO()
+    driven.write_csv(buf, columns=["v", "n", "Ca", "Na"])
+    want = ["t,v,n,Ca,Na\n"]
+    for t, row in zip(driven.ts, driven.ys):
+        want.append(f"{t:.17g}," + ",".join(f"{val:.17g}" for val in row)
+                    + "\n")
+    assert buf.getvalue() == "".join(want)
+
+
+def test_sample_one_column_is_the_full_sample(fig4_d1_trace):
+    # every column of a driven trace, the appended path columns included
+    traj = fig4_d1_trace.trajectory
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([rng.uniform(traj.t0, traj.t1, 500),
+                         traj.ts[::97], [traj.t0, traj.t1]])
+    full = traj.sample(ts)
+    for c in range(traj.dim):
+        got = traj.sample(ts, c)
+        assert got.shape == ts.shape
+        assert np.array_equal(got, full[:, c])
+        for t in (traj.t0, float(ts[0]), float(traj.ts[5]), traj.t1):
+            assert traj.sample(t, c) == traj.sample(t)[c]
+
+
+def test_stats_count_the_solver_work(reduced, fig4_d1_path, fig4_d1_trace):
+    calls = [0]
+    rhs = reduced.path_rhs(fig4_d1_path)
+
+    def counted(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+
+    traj = integrate(counted, reduced.slaved(-60.0), (0.0, 400.0))
+    steps, rejected, rhs_evals = traj.stats
+    assert steps == len(traj.ts) - 1
+    assert rejected > 0
+    assert rhs_evals == calls[0]
+    calls[0] = 0
+    traj, _ = detect_events(counted, reduced.slaved(-60.0), (0.0, 100.0),
+                            [lambda t, y: y[0] + 50.0])
+    assert traj.stats.steps == len(traj.ts) - 1
+    assert traj.stats.rhs_evals == calls[0]
+    # a driven trace keeps the stats of its fast solve
+    driven = fig4_d1_trace.trajectory
+    assert driven.dim == 4
+    assert driven.stats.steps == len(driven.ts) - 1
+    assert driven.stats.rhs_evals == 2 + 6 * (driven.stats.steps
+                                              + driven.stats.rejected)
 
 
 def test_event_times_tolerance_convergence(reduced, curves2, fig4_d1_path):

@@ -189,7 +189,17 @@ def test_every_rhs_form_matches_oracle(model, request):
     p = fast.params
     path = EllipsePath.centered(0.3, 5.6, 1.5, 0.1, 0.006)
     driven, auto = fast.driven_rhs(path), fast.autonomous_rhs()
-    for y, slow in _sample_states(fast, 11):
+    forced = fast.path_rhs(path)
+    # path_rhs keeps the forcing of the last t: repeat a t with another
+    # state, step back in time and return, so a stale forcing shows
+    times = (0.0, 40.0, 40.0, 15.0, 15.0, 40.0, 900.0, 0.0)
+    for i, (y, slow) in enumerate(_sample_states(fast, 11)):
+        t = times[i % len(times)]
+        if fast.dim == 2:
+            forced_ref = rhs_fast4(y, path.point(t), p)
+        else:
+            forced_ref = rhs_fast7(y, path.point(t), p)
+        _assert_close(forced(t, y), forced_ref)
         if fast.dim == 2:
             ref = rhs_fast4(y, slow, p)
             lifted = reduced_fast_state(y[0], y[1], p)
