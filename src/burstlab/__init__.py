@@ -11,7 +11,7 @@ from .landscape import (GridSpec, ScalarField, ContourSet, orbit_period,
                         relambda, build_field, extract_contours,
                         PERIOD, RE_LAMBDA)
 from .features import (BurstTrace, FeatureVector, Spike, Stages,
-                       ClassificationError, detect_spikes, segment_stages,
+                       ClassificationError, segment_stages,
                        burst_features, feature_distance, run_driven,
                        run_autonomous, min_oscillation_amplitude)
 from .fit import FitProblem, FitResult, Trial, fit_path
@@ -30,7 +30,7 @@ __all__ = [
     "GridSpec", "ScalarField", "ContourSet", "orbit_period", "relambda",
     "build_field", "extract_contours", "PERIOD", "RE_LAMBDA",
     "BurstTrace", "FeatureVector", "Spike", "Stages", "ClassificationError",
-    "detect_spikes", "segment_stages", "burst_features", "feature_distance",
+    "segment_stages", "burst_features", "feature_distance",
     "run_driven", "run_autonomous", "min_oscillation_amplitude",
     "FitProblem", "FitResult", "Trial", "fit_path",
     "__version__",

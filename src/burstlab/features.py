@@ -1,9 +1,10 @@
 """Burst traces: spike detection, stage segmentation and feature extraction.
 
 A BurstTrace is one full burst cycle of a driven or autonomous model,
-annotated with its SNIC/AH curve crossings and detected spikes. The DB
-(depolarization-block) pattern crosses the curves in the order SNIC, AH,
-AH, SNIC once per slow period; anything else raises ClassificationError.
+annotated with its SNIC/AH curve crossings and detected spikes. Spike
+peaks, v_floor and every other extremum of v come from Trajectory.extrema.
+The DB (depolarization-block) pattern crosses the curves in the order SNIC,
+AH, AH, SNIC once per slow period; anything else raises ClassificationError.
 
 Stage labels follow the six-stage description of the bursting cycle:
 (i) silence, (ii) sustained spiking, (iii) frequency rise and amplitude
@@ -31,7 +32,7 @@ log = logging.getLogger(__name__)
 
 SPIKE_THRESHOLD = -20.0     # mV; spike peaks separate cleanly from
 SPIKE_REFRACTORY = 2.0      # subthreshold oscillation above this level
-_DENSE_DT = 0.02            # ms, resampling step for spike detection
+ENVELOPE_MARGIN = 5.0       # mV; the (iii)/(iv) split, see segment_stages
 _LABELS = ("SNIC", "AH")
 
 
@@ -65,47 +66,6 @@ class BurstTrace:
     def sequence_str(self) -> str:
         arrow = {1: "+", -1: "-"}
         return ",".join(f"{e.label}{arrow[e.direction]}" for e in self.events)
-
-
-def detect_spikes(t: np.ndarray, v: np.ndarray, threshold: float = SPIKE_THRESHOLD,
-                  refractory: float = SPIKE_REFRACTORY):
-    """Detect spikes on a densely sampled voltage trace.
-
-    A spike is an upward threshold crossing followed by the local maximum of
-    v before the next downward crossing; peak times are refined by parabolic
-    interpolation. An upward crossing within the refractory window of the
-    previous spike is merged into it (the larger peak wins).
-    """
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    above = v > threshold
-    ups = np.nonzero(~above[:-1] & above[1:])[0] + 1
-    downs = np.nonzero(above[:-1] & ~above[1:])[0] + 1
-    spikes: list[Spike] = []
-    for iu in ups:
-        after = downs[downs > iu]
-        stop = int(after[0]) if len(after) else len(v)
-        seg = slice(iu, stop)
-        k = int(np.argmax(v[seg])) + iu
-        tp, vp = _refine_peak(t, v, k)
-        if spikes and tp - spikes[-1].t < refractory:
-            if vp > spikes[-1].v:
-                spikes[-1] = Spike(t=tp, v=vp)
-            continue
-        spikes.append(Spike(t=tp, v=vp))
-    return spikes
-
-
-def _refine_peak(t, v, k):
-    if 0 < k < len(v) - 1:
-        y0, y1, y2 = v[k - 1], v[k], v[k + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0.0:
-            off = 0.5 * (y0 - y2) / denom
-            off = min(max(off, -1.0), 1.0)
-            dt = 0.5 * (t[k + 1] - t[k - 1])
-            return float(t[k] + off * dt), float(y1 - 0.25 * (y0 - y2) * off)
-    return float(t[k]), float(v[k])
 
 
 def crossing_events(snic: BifCurve, ah: BifCurve):
@@ -150,12 +110,34 @@ def _window_events(events, t0, t1):
     return tuple(e for e in events if _in_window(e.t, t0, t1))
 
 
-def _spikes_in_window(traj, t0, t1, threshold=SPIKE_THRESHOLD,
-                      refractory=SPIKE_REFRACTORY):
-    n = max(2, int(math.ceil((t1 - t0) / _DENSE_DT)))
-    ts = np.linspace(t0, min(t1, traj.t1), n)
-    vs = traj.sample(ts, 0)
-    return tuple(detect_spikes(ts, vs, threshold, refractory))
+def _spikes_in_window(traj, t0, t1):
+    """The spikes of v over [t0, t1]: the largest maximum of each excursion
+    above SPIKE_THRESHOLD, which closes at a minimum at or below it. One
+    already open at t0 does not count, one still open at t1 does; a spike
+    within SPIKE_REFRACTORY of the one before merges into it (larger wins)."""
+    t, v, kind = traj.extrema(t0, t1)
+    excursion = np.cumsum((kind < 0) & (v <= SPIKE_THRESHOLD))
+    peaks = np.flatnonzero((kind > 0) & (v > SPIKE_THRESHOLD))
+    if traj.sample(t0)[0] > SPIKE_THRESHOLD:
+        peaks = peaks[excursion[peaks] > 0]
+    # the largest maximum of each excursion, the first on a tie
+    peaks = peaks[np.lexsort((-v[peaks], excursion[peaks]))]
+    peaks = peaks[np.diff(excursion[peaks], prepend=-1) > 0]
+    spikes: list[Spike] = []
+    for tp, vp in zip(t[peaks].tolist(), v[peaks].tolist()):
+        if spikes and tp - spikes[-1].t < SPIKE_REFRACTORY:
+            if vp > spikes[-1].v:
+                spikes[-1] = Spike(t=tp, v=vp)
+            continue
+        spikes.append(Spike(t=tp, v=vp))
+    return tuple(spikes)
+
+
+def v_range(traj, t0, t1):
+    """(smallest, largest) v over [t0, t1]: the extremes of its extrema
+    there and of its values at the two ends."""
+    v = np.append(traj.extrema(t0, t1)[1], traj.sample([t0, t1])[:, 0])
+    return float(v.min()), float(v.max())
 
 
 def _rest_state(fast, slow):
@@ -167,8 +149,7 @@ def _rest_state(fast, slow):
 
 
 def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
-               rel_tol: float = 1e-8, abs_tol: float = 1e-8,
-               threshold: float = SPIKE_THRESHOLD) -> BurstTrace:
+               rel_tol: float = 1e-8, abs_tol: float = 1e-8) -> BurstTrace:
     """Simulate the driven system for one slow period and annotate it.
 
     The slow pair follows the path in closed form, so the SNIC and AH
@@ -202,7 +183,7 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
         for te, index, direction in window)
     return BurstTrace(
         trajectory=traj, t_start=t1, t_end=t2, period=period, events=events,
-        spikes=_spikes_in_window(traj, t1, t2, threshold),
+        spikes=_spikes_in_window(traj, t1, t2),
         model=f"driven-{fast.name}", path=path, start_fallback=fallback)
 
 
@@ -225,7 +206,6 @@ def _autonomous_run(fast, snic, ah, t_transient, t_budget, rel_tol, abs_tol,
 def run_autonomous(fast, snic: BifCurve, ah: BifCurve, seed=None,
                    t_transient: float = 2000.0, t_budget: float = 8000.0,
                    rel_tol: float = 1e-8, abs_tol: float = 1e-8,
-                   threshold: float = SPIKE_THRESHOLD,
                    slow0=(0.1, 5.0), depth_frac: float = 0.14) -> BurstTrace:
     """Simulate the autonomous model and cut out one full burst cycle.
 
@@ -250,7 +230,7 @@ def run_autonomous(fast, snic: BifCurve, ah: BifCurve, seed=None,
     return BurstTrace(
         trajectory=traj, t_start=t1, t_end=t2, period=t2 - t1,
         events=_window_events(events, t1, t2),
-        spikes=_spikes_in_window(traj, t1, t2, threshold),
+        spikes=_spikes_in_window(traj, t1, t2),
         model=f"autonomous-{fast.name}")
 
 
@@ -302,22 +282,22 @@ class Stages:
         return hi - lo
 
 
-def segment_stages(trace: BurstTrace, envelope_margin: float = 5.0) -> Stages:
+def segment_stages(trace: BurstTrace) -> Stages:
     """Partition one DB cycle into stages against its curve crossings.
 
     Raises ClassificationError when the crossing sequence is not
     SNIC, AH, AH, SNIC. The (iii)/(iv) split is the time of the last spike
-    whose peak rises at least envelope_margin above the silent-phase
-    envelope; it is reported for completeness but is heuristic.
+    whose peak rises at least ENVELOPE_MARGIN above the highest v of the
+    silent stage; it is reported for completeness but is heuristic.
     """
     if trace.sequence() != _DB_SEQUENCE:
         seq = trace.sequence_str() or "no crossings"
         raise ClassificationError(f"crossing sequence {seq} is not DB")
     t_s1, t_a1, t_a2, t_s2 = (e.t for e in trace.events)
-    quiet_max = _window_vmax(trace, t_s2, trace.t_start + trace.period)
+    quiet_max = v_range(trace.trajectory, t_s2, trace.t_start + trace.period)[1]
     split = t_a1
     for sp in trace.spikes:
-        if t_a1 <= sp.t < t_a2 and sp.v >= quiet_max + envelope_margin:
+        if t_a1 <= sp.t < t_a2 and sp.v >= quiet_max + ENVELOPE_MARGIN:
             split = sp.t
     return Stages(
         ii=(t_s1, t_a1),
@@ -326,15 +306,6 @@ def segment_stages(trace: BurstTrace, envelope_margin: float = 5.0) -> Stages:
         v=(t_a2, t_s2),
         i=(t_s2, trace.t_start + trace.period),
     )
-
-
-def _window_vmax(trace: BurstTrace, t0: float, t1: float) -> float:
-    traj = trace.trajectory
-    hi = min(t1, traj.t1)
-    if hi <= t0:
-        return float(traj.sample(traj.t1, 0))
-    ts = np.linspace(t0, hi, max(2, int((hi - t0) / 0.5)))
-    return float(traj.sample(ts, 0).max())
 
 
 @dataclass(frozen=True)
@@ -393,27 +364,21 @@ class FeatureVector:
         )
 
 
-def burst_features(trace: BurstTrace, threshold: float = SPIKE_THRESHOLD) -> FeatureVector:
+def burst_features(trace: BurstTrace) -> FeatureVector:
     """Extract the feature vector from a segmented DB trace."""
     stages = segment_stages(trace)
     t_s1, t_a1 = stages.ii
     t_a2, t_s2 = stages.v
     stage2 = [sp for sp in trace.spikes if t_s1 <= sp.t < t_a1]
-    stage5 = [sp for sp in trace.spikes if t_a2 <= sp.t < t_s2 and sp.v > threshold]
-    isis = tuple(float(b.t - a.t) for a, b in zip(stage2, stage2[1:]))
-    traj = trace.trajectory
-    ts = np.linspace(trace.t_start, min(trace.t_end, traj.t1),
-                     max(2, int(trace.period / 0.25)))
-    v_floor = float(traj.sample(ts, 0).min())
     return FeatureVector(
         period=trace.period,
         first_spike_delay=(stage2[0].t - t_s1) if stage2 else None,
-        isis=isis,
+        isis=tuple(b.t - a.t for a, b in zip(stage2, stage2[1:])),
         amp_min=min((sp.v for sp in stage2), default=None),
         amp_max=max((sp.v for sp in stage2), default=None),
         ah_interval=t_a2 - t_a1,
-        stage_v_count=len(stage5),
-        v_floor=v_floor,
+        stage_v_count=sum(t_a2 <= sp.t < t_s2 for sp in trace.spikes),
+        v_floor=v_range(trace.trajectory, trace.t_start, trace.t_end)[0],
     )
 
 
@@ -496,20 +461,8 @@ def feature_distance(a: FeatureVector, b: FeatureVector,
     return math.sqrt(total)
 
 
-def min_oscillation_amplitude(trace: BurstTrace, t0: float, t1: float,
-                              dt: float = 0.05) -> float:
+def min_oscillation_amplitude(trace: BurstTrace, t0: float, t1: float) -> float:
     """Smallest peak-to-trough swing of v between consecutive local extrema
-    in [t0, t1]; zero when v is monotone there."""
-    traj = trace.trajectory
-    hi = min(t1, traj.t1)
-    ts = np.arange(t0, hi, dt)
-    if len(ts) < 3:
-        return 0.0
-    v = traj.sample(ts, 0)
-    dv = np.diff(v)
-    sign = np.sign(dv)
-    turns = np.nonzero(sign[1:] * sign[:-1] < 0)[0] + 1
-    if len(turns) < 2:
-        return 0.0
-    ext = v[turns]
-    return float(np.abs(np.diff(ext)).min())
+    in [t0, t1]; zero when v has fewer than two extrema there."""
+    v = trace.trajectory.extrema(t0, t1)[1]
+    return float(np.abs(np.diff(v)).min()) if len(v) > 1 else 0.0

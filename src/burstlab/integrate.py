@@ -11,7 +11,8 @@ Dense output uses the standard fourth-order interpolant of the pair. Events
 are localized after the solve: the test functions are evaluated at the
 accepted steps of the finished trajectory and each sign change is refined
 on that step's interpolant by Brent's method, so event times do not depend
-on step-size control.
+on step-size control. Trajectory.extrema finds every extremum of v on the
+interpolant itself, as a root of v', with no sampling grid.
 
 The same generated source also serves lanes: a state that is a tuple of
 numpy arrays, one element per independent problem, advanced in lockstep by
@@ -126,10 +127,8 @@ class Trajectory:
     def dim(self) -> int:
         return self.ys.shape[1]
 
-    def sample(self, t, col: Optional[int] = None):
-        """Evaluate the dense interpolant at scalar or array times: every
-        column, or only column col when given (sample(t, c) equals
-        sample(t)[..., c] bit for bit)."""
+    def sample(self, t):
+        """Evaluate the dense interpolant at scalar or array times."""
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         tq = np.atleast_1d(t_arr)
@@ -139,13 +138,51 @@ class Trajectory:
                       0, len(self.ts) - 2)
         h = self.ts[idx + 1] - self.ts[idx]
         x = (tq - self.ts[idx]) / h
-        if col is None:
-            out = _interpolant(self.ys[idx], h[:, None], x[:, None],
-                               self._dense[idx].transpose(1, 0, 2))
-        else:
-            out = _interpolant(self.ys[idx, col], h, x,
-                               self._dense[idx, :, col].T)
+        out = _interpolant(self.ys[idx], h[:, None], x[:, None],
+                           self._dense[idx].transpose(1, 0, 2))
         return out[0] if scalar else out
+
+    def extrema(self, t0: float, t1: float):
+        """(t, v, kind) arrays of every local extremum of v (column 0) in
+        [t0, t1], clipped to the span, by time; kind is +1 at a maximum.
+
+        On a step, v' is a cubic in the step fraction x. The roots of v'',
+        in closed form, split it into pieces on which v' is monotone, so each
+        sign change of v' over a piece brackets one extremum, however many
+        the step holds; _rising_root refines it on v'.
+        """
+        ts = self.ts
+        t0, t1 = max(t0, ts[0]), min(t1, ts[-1])
+        first = max(int(np.searchsorted(ts, t0, side="right")) - 1, 0)
+        stop = min(int(np.searchsorted(ts, t1)), len(ts) - 1)
+        if stop <= first:
+            return np.empty(0), np.empty(0), np.empty(0, dtype=int)
+        h = ts[first + 1:stop + 1] - ts[first:stop]
+        c = self._dense[first:stop, :, 0].T
+        x_lo, x_hi = np.zeros_like(h), np.ones_like(h)
+        x_lo[0], x_hi[-1] = (t0 - ts[first]) / h[0], (t1 - ts[stop - 1]) / h[-1]
+        # the roots of v''/2 = 6 c3 x^2 + 3 c2 x + c1, cancellation-free; one
+        # that is not a number or lies off the window becomes x_lo
+        qa, qb = 6.0 * c[3], 3.0 * c[2]
+        with np.errstate(all="ignore"):
+            q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * c[1]), qb))
+            splits = np.stack([q / qa, c[1] / q])
+        splits = np.where((splits > x_lo) & (splits < x_hi), splits, x_lo)
+        lo = np.vstack([x_lo, np.sort(splits, axis=0)])     # (3, steps)
+        hi = np.vstack([lo[1:], x_hi])
+        # v' at every piece start, then at the window end: a knot's value
+        # comes from the step that starts there
+        g = np.append(_slope(lo, c).T.ravel(), _slope(x_hi[-1], c[:, -1]))
+        piece, rising = np.array(sign_changes(g), dtype=int).reshape(-1, 2).T
+        step = piece // 3
+        c = c[:, step]
+        x = _rising_root(
+            lambda x: rising * _slope(x, c),
+            lambda x: rising * (2.0 * c[1] + x * (6.0 * c[2] + x * 12.0 * c[3])),
+            lo.T.ravel()[piece], hi.T.ravel()[piece])
+        h = h[step]
+        return (ts[first + step] + x * h,
+                _interpolant(self.ys[first + step, 0], h, x, c), -rising)
 
     def write_csv(self, fh, columns: Optional[Sequence[str]] = None) -> None:
         """t and every column, one row per accepted step, each value with 17
@@ -268,35 +305,37 @@ def lane_crossings(t, h, y0, k, level):
 
     t, h and y0 (the component at the step start) are arrays of one shape
     (lanes,), k the component's 7 stage derivatives as a (7, lanes) array;
-    each step must rise through level. The root is found by Newton's method
-    on the interpolant, kept inside the bracket by bisection, to rounding.
-    A lane stops iterating once its own root has converged, so its time does
-    not depend on the other lanes.
+    each step must rise through level. The root is refined by _rising_root.
     """
     c = _dense_coefficients(k.T[:, :, None])[:, :, 0].T
-    c0, c1, c2, c3 = c
+    x = _rising_root(lambda x: _interpolant(y0, h, x, c) - level,
+                     lambda x: h * _slope(x, c),
+                     np.zeros_like(h), np.ones_like(h))
+    return t + x * h
 
-    def excess(x):
-        return _interpolant(y0, h, x, c) - level
 
-    lo = np.zeros_like(h)
-    hi = np.ones_like(h)
-    g0, g1 = excess(lo), excess(hi)
-    x = np.clip(np.nan_to_num(g0 / (g0 - g1), nan=0.5), 0.0, 1.0)
+def _rising_root(g, slope, lo, hi):
+    """Per lane, the root in [lo, hi] of g, which rises through zero there,
+    by Newton's method with slope = g' from the secant guess, kept inside
+    the bracket by bisection, to rounding. A lane stops once its own root
+    has converged, so its root does not depend on the other lanes.
+    """
+    g_lo, g_hi = g(lo), g(hi)
+    x = lo + (hi - lo) * np.clip(np.nan_to_num(g_lo / (g_lo - g_hi), nan=0.5),
+                                 0.0, 1.0)
     active = np.ones(x.shape, dtype=bool)
     for _ in range(100):
-        g = excess(x)
-        lo = np.where(g < 0.0, x, lo)
-        hi = np.where(g < 0.0, hi, x)
-        slope = h * (c0 + x * (2.0 * c1 + x * (3.0 * c2 + x * 4.0 * c3)))
-        x_new = x - g / slope
+        gx = g(x)
+        lo = np.where(gx < 0.0, x, lo)
+        hi = np.where(gx < 0.0, hi, x)
+        x_new = x - gx / slope(x)
         x_new = np.where((x_new >= lo) & (x_new <= hi), x_new, 0.5 * (lo + hi))
         x_new = np.where(active, x_new, x)
         active &= np.abs(x_new - x) > 1e-15
         x = x_new
         if not active.any():
             break
-    return t + x * h
+    return x
 
 
 def _interpolant(y0, h, x, c):
@@ -305,6 +344,12 @@ def _interpolant(y0, h, x, c):
     _dense_coefficients gives them per step; the arguments broadcast."""
     c0, c1, c2, c3 = c
     return y0 + h * x * (c0 + x * (c1 + x * (c2 + x * c3)))
+
+
+def _slope(x, c):
+    """The time derivative of _interpolant, whatever y0 and h."""
+    c0, c1, c2, c3 = c
+    return c0 + x * (2.0 * c1 + x * (3.0 * c2 + x * 4.0 * c3))
 
 
 def _dense_coefficients(k):

@@ -6,8 +6,9 @@ RE_LAMBDA, the real part of the complex eigenvalue pair at the depolarized
 equilibrium. A PERIOD field integrates all its nodes together, each node a
 numpy lane of one lockstep Dormand-Prince loop with its own time, step size
 and accept decision, and gives every node a status; orbit_period measures
-one point on the tuple engine, and both decide the period alike. Contours
-come from marching squares with linear edge interpolation; cells touching
+one point on the tuple engine, and both decide the period alike;
+orbit_period reads its cycle amplitudes off the extrema of v. Contours come
+from marching squares with linear edge interpolation; cells touching
 undefined nodes are skipped.
 """
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bifurcation
+from .features import v_range
 from .integrate import (LANES, MAX_STEPS, StepSizeError, detect_events,
                         initial_step, integrate, lane_crossings, step_lanes)
 
@@ -172,13 +174,11 @@ def orbit_period(fast, slow, *, level: float = -20.0, t_transient: float = 500.0
 
 
 def _cycle_amplitudes(traj, ups):
-    # the v-amplitudes of the first and last measured cycles, from 80 dense
-    # samples each
+    # the v-amplitudes (max - min) of the first and last measured cycles
     if len(ups) < 3:
         return 0.0, 0.0
-    va = traj.sample(np.linspace(ups[0], ups[1], 80), 0)
-    vb = traj.sample(np.linspace(ups[-2], ups[-1], 80), 0)
-    return float(va.max() - va.min()), float(vb.max() - vb.min())
+    return tuple(hi - lo for lo, hi in (v_range(traj, ups[0], ups[1]),
+                                        v_range(traj, ups[-2], ups[-1])))
 
 
 def _period_verdict(ups, amp_first, amp_last, n_gaps, spread_tol,

@@ -5,43 +5,70 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from burstlab import EllipsePath
-from burstlab.features import (ClassificationError, FeatureVector,
-                               burst_features, crossing_events, detect_spikes,
-                               feature_distance, min_oscillation_amplitude,
-                               path_crossings, run_driven, segment_stages)
+from oracles import rhs_fast4
+
+from burstlab import REDUCED4D, EllipsePath
+from burstlab.features import (SPIKE_REFRACTORY, SPIKE_THRESHOLD,
+                               ClassificationError, FeatureVector,
+                               _spikes_in_window, burst_features,
+                               crossing_events, feature_distance,
+                               min_oscillation_amplitude, path_crossings,
+                               run_driven, segment_stages)
 from burstlab.figures import PRESETS
-from burstlab.integrate import detect_events
+from burstlab.integrate import detect_events, integrate
+
+
+def _trace_of(dv, v0, t_end):
+    # v(t) with v' = dv(t), as the integrator's trajectory
+    return integrate(lambda t, y: (dv(t),), (v0,), (0.0, t_end))
 
 
 def test_detect_spikes_constant_below_threshold():
-    t = np.linspace(0, 100, 1001)
-    v = np.full_like(t, -50.0)
-    assert detect_spikes(t, v) == []
+    traj = _trace_of(lambda t: 0.0, -50.0, 100.0)
+    assert _spikes_in_window(traj, 0.0, 100.0) == ()
 
 
 def test_detect_spikes_sine():
-    t = np.linspace(0, 6 * math.pi, 4000)
-    v = 30.0 * np.sin(t)
-    spikes = detect_spikes(t, v, threshold=0.0, refractory=1.0)
+    # v = -30 cos t starts below threshold and peaks at pi, 3 pi, 5 pi
+    traj = _trace_of(lambda t: 30.0 * math.sin(t), -30.0, 6 * math.pi)
+    spikes = _spikes_in_window(traj, 0.0, 6 * math.pi)
     assert len(spikes) == 3
     for i, sp in enumerate(spikes):
-        assert sp.t == pytest.approx(math.pi / 2 + 2 * math.pi * i, abs=1e-3)
-        assert sp.v == pytest.approx(30.0, abs=1e-4)
+        assert sp.t == pytest.approx(math.pi * (2 * i + 1), abs=1e-6)
+        assert sp.v == pytest.approx(30.0, abs=1e-6)
+
+
+def _humps(t, centers, heights):
+    return sum(-2.0 * a * (t - c) / 0.04 * math.exp(-((t - c) / 0.2) ** 2)
+               for c, a in zip(centers, heights))
 
 
 def test_detect_spikes_refractory_merge():
-    # two humps 1 ms apart merge under a 2 ms refractory window
-    t = np.linspace(0, 10, 5001)
-    v = np.full_like(t, -60.0)
-    v += 50 * np.exp(-((t - 4.0) / 0.2) ** 2)
-    v += 55 * np.exp(-((t - 5.0) / 0.2) ** 2)
-    merged = detect_spikes(t, v, threshold=-20.0, refractory=2.0)
+    # two humps 1 ms apart merge within SPIKE_REFRACTORY (the larger peak
+    # wins); 3 ms apart they are two spikes
+    assert SPIKE_REFRACTORY == 2.0
+    traj = _trace_of(lambda t: _humps(t, (4.0, 5.0), (50.0, 55.0)), -60.0, 10.0)
+    merged = _spikes_in_window(traj, 0.0, 10.0)
     assert len(merged) == 1
+    assert merged[0].t == pytest.approx(5.0, abs=1e-3)
     assert merged[0].v == pytest.approx(-5.0, abs=0.5)
-    split = detect_spikes(t, v, threshold=-20.0, refractory=0.5)
-    assert len(split) == 2
+    traj = _trace_of(lambda t: _humps(t, (4.0, 7.0), (50.0, 55.0)), -60.0, 10.0)
+    assert len(_spikes_in_window(traj, 0.0, 10.0)) == 2
+
+
+def test_rippling_plateau_above_threshold_is_one_spike():
+    # v climbs to a plateau at -19.8 mV and ripples there by 0.1 mV every
+    # 11 ms, always above SPIKE_THRESHOLD: one excursion, one spike, though
+    # it has eight maxima above threshold
+    def dv(t):
+        return (40.2 * 0.25 / math.cosh((t - 10.0) / 2.0) ** 2
+                + 0.1 * 2.0 * math.pi / 11.0 * math.cos(2.0 * math.pi * t / 11.0))
+    traj = _trace_of(dv, -60.0 + 40.2 * 0.5 * (1.0 + math.tanh(-5.0)), 100.0)
+    t, v, kind = traj.extrema(0.0, 100.0)
+    assert ((kind > 0) & (v > SPIKE_THRESHOLD)).sum() >= 8
+    assert len(_spikes_in_window(traj, 0.0, 100.0)) == 1
 
 
 def _fv(period=1000.0, delay=20.0, isis=(10.0, 11.0), amp_min=5.0,
@@ -266,3 +293,30 @@ def test_start_fallback_is_flagged(reduced, curves2, fig4_d1_trace, caplog):
     assert trace.t_start == 0.0
     assert "no upward SNIC crossing" in caplog.text
     assert not fig4_d1_trace.start_fallback
+
+
+def test_spike_peaks_and_v_floor_match_a_tight_dop853_run(fig4_d1_trace):
+    # independent oracle: scipy's DOP853 at 1e-12 on the oracle rhs along the
+    # path's closed form, from the trace's first knot, with v' = 0 as event
+    trace = fig4_d1_trace
+    traj, path = trace.trajectory, trace.path
+
+    def rhs(t, y):
+        return rhs_fast4(y, path.point(t), REDUCED4D)
+
+    def dv(t, y):
+        return rhs(t, y)[0]
+
+    sol = solve_ivp(rhs, (traj.t0, traj.t1), traj.ys[0, :2], method="DOP853",
+                    rtol=1e-12, atol=1e-12, events=dv, dense_output=True)
+    t_ext, v_ext = sol.t_events[0], sol.y_events[0][:, 0]
+    peaks = [(t, v) for t, v in zip(t_ext, v_ext) if v > -20.0]
+    assert trace.spikes
+    for sp in trace.spikes:
+        t, v = min(peaks, key=lambda p: abs(p[0] - sp.t))
+        assert abs(sp.t - t) <= 1e-4
+        assert abs(sp.v - v) <= 1e-4
+    inside = (t_ext > trace.t_start) & (t_ext < trace.t_end)
+    floor = min(v_ext[inside].min(),
+                sol.sol(trace.t_start)[0], sol.sol(trace.t_end)[0])
+    assert abs(burst_features(trace).v_floor - floor) <= 1e-9

@@ -8,8 +8,9 @@ from oracles import dopri_step, rk4
 
 import burstlab
 from burstlab import EllipsePath, StepSizeError, detect_events
-from burstlab.integrate import (LANES, _dopri_step, initial_step, integrate,
-                                lane_crossings, step_lanes)
+from burstlab.integrate import (LANES, SolverStats, Trajectory, _dopri_step,
+                                initial_step, integrate, lane_crossings,
+                                step_lanes)
 
 
 def test_exponential_decay():
@@ -158,21 +159,6 @@ def test_csv_export_format_and_determinism(fig4_d1_trace):
         want.append(f"{t:.17g}," + ",".join(f"{val:.17g}" for val in row)
                     + "\n")
     assert buf.getvalue() == "".join(want)
-
-
-def test_sample_one_column_is_the_full_sample(fig4_d1_trace):
-    # every column of a driven trace, the appended path columns included
-    traj = fig4_d1_trace.trajectory
-    rng = np.random.default_rng(3)
-    ts = np.concatenate([rng.uniform(traj.t0, traj.t1, 500),
-                         traj.ts[::97], [traj.t0, traj.t1]])
-    full = traj.sample(ts)
-    for c in range(traj.dim):
-        got = traj.sample(ts, c)
-        assert got.shape == ts.shape
-        assert np.array_equal(got, full[:, c])
-        for t in (traj.t0, float(ts[0]), float(traj.ts[5]), traj.t1):
-            assert traj.sample(t, c) == traj.sample(t)[c]
 
 
 def test_stats_count_the_solver_work(reduced, fig4_d1_path, fig4_d1_trace):
@@ -336,3 +322,47 @@ def test_lane_crossings_match_the_dense_interpolant():
         h[j], 1e-6, 1e-8)[1]] for j, i in enumerate(rising)]).T
     found = lane_crossings(ts, h, v[rising], stages, 0.0)
     np.testing.assert_allclose(found, ups, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("c,roots,kinds", [
+    # v' = (x - 0.3)(x - 0.7): positive at both knots
+    ((0.21, -0.5, 1.0 / 3.0, 0.0), (0.3, 0.7), (1, -1)),
+    # v' = (x - 0.2)(x - 0.5)(x - 0.8): one sign change between the knots
+    ((-0.08, 0.33, -0.5, 0.25), (0.2, 0.5, 0.8), (-1, 1, -1)),
+])
+def test_extrema_inside_one_step(c, roots, kinds):
+    # a single 2 ms step from t = 5 whose v' is the given polynomial in the
+    # step fraction x: every root of v' is an extremum, found at its time
+    h = 2.0
+    c = np.array(c)
+
+    def v(x):
+        return h * x * (c[0] + x * (c[1] + x * (c[2] + x * c[3])))
+
+    traj = Trajectory(np.array([5.0, 5.0 + h]), np.array([[0.0], [v(1.0)]]),
+                      c.reshape(1, 4, 1), 1e-8, 1e-8, SolverStats(1, 0, 8))
+    t, vals, kind = traj.extrema(5.0, 5.0 + h)
+    x = np.array(roots)
+    np.testing.assert_allclose(t, 5.0 + h * x, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(vals, v(x), rtol=0, atol=1e-14)
+    assert kind.tolist() == list(kinds)
+    # a window cut inside the step keeps only the extrema inside it
+    t, _, kind = traj.extrema(5.0 + h * 0.25, 5.0 + h * 0.75)
+    assert t.tolist() == [tk for tk, xk in zip(5.0 + h * x, x)
+                          if 0.25 <= xk <= 0.75]
+
+
+def test_extrema_match_a_fine_sampling():
+    # every extremum of v on a van der Pol trajectory against the turning
+    # points of the dense output sampled every 1e-4 ms
+    traj = integrate(_van_der_pol, (2.0, 0.0), (0.0, 30.0), rel_tol=1e-8,
+                     abs_tol=1e-8)
+    t, v, kind = traj.extrema(0.0, 30.0)
+    ts = np.linspace(0.0, 30.0, 300_001)
+    vs = traj.sample(ts)[:, 0]
+    dv = np.diff(vs)
+    turns = np.flatnonzero(dv[:-1] * dv[1:] < 0) + 1
+    assert len(t) == len(turns) >= 4
+    np.testing.assert_allclose(t, ts[turns], rtol=0, atol=1e-4)
+    np.testing.assert_allclose(v, vs[turns], rtol=0, atol=1e-8)
+    assert (kind == np.where(dv[turns] < 0, 1, -1)).all()
