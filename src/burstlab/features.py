@@ -158,8 +158,9 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
     exactly one SNIC, AH, AH, SNIC sequence; a path without one starts the
     window at 0 and sets start_fallback. One integration of the fast
     variables alone, from the rest state at the path's initial point, runs
-    to the window end; the path's (Ca, Na) is then appended as the last two
-    columns of the trajectory.
+    to the window end, stepped by the fused kernel of fast.path_rhs, which
+    reads (Ca, Na) from the path's closed_form function; the path's
+    (Ca, Na) is then appended as the last two columns of the trajectory.
     """
     period = path.period
     crossings = path_crossings(path, snic, ah, 2.0 * period)

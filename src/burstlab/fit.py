@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,7 +20,7 @@ from .bifurcation import BifCurve
 from .features import (ClassificationError, FeatureVector, burst_features,
                        feature_distance, run_driven)
 from .integrate import StepSizeError
-from .landscape import _map, sweep_workers
+from .landscape import STEP_FAILURE, _map, sweep_workers
 from .model import FullFast, ReducedFast
 from .params import InvalidParameterError, ModelParams
 from .paths import EllipsePath
@@ -27,6 +28,11 @@ from .paths import EllipsePath
 PENALTY = 1e6
 
 PATH_PARAMS = ("ca_c", "na_c", "d", "ca0", "eps")
+
+# the status of a trial: DB-classified, or why it scores the penalty
+DB = "db"
+NOT_DB = "not_db"               # the crossing sequence is not SNIC, AH, AH, SNIC
+INVALID = "invalid"             # the parameters make no valid path or model
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,18 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class Trial:
+    """One evaluation of the objective. sequence is "DB", the crossing
+    sequence of a non-DB trace, or "error: ..." for a step failure or an
+    invalid path; status names the class (DB, NOT_DB, STEP_FAILURE or
+    INVALID). seconds, the wall time of the evaluation, is left out of
+    comparisons, so equal fits compare equal."""
+
     values: dict
     distance: float
     db: bool
     sequence: str
+    status: str
+    seconds: float = field(compare=False)
 
 
 @dataclass
@@ -96,10 +110,12 @@ class FitResult:
 
     def write_csv(self, fh) -> None:
         names = sorted({k for tr in self.trials for k in tr.values})
-        fh.write(",".join(names) + ",distance,db,sequence\n")
+        # sequence goes last: a crossing sequence holds commas
+        fh.write(",".join(names) + ",distance,db,status,seconds,sequence\n")
         for tr in self.trials:
             row = ",".join(f"{tr.values[n]:.17g}" for n in names)
-            fh.write(f"{row},{tr.distance:.17g},{int(tr.db)},{tr.sequence}\n")
+            fh.write(f"{row},{tr.distance:.17g},{int(tr.db)},{tr.status},"
+                     f"{tr.seconds:.6f},{tr.sequence}\n")
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -107,21 +123,27 @@ class FitResult:
 
 
 def _evaluate(problem: FitProblem, values: dict):
+    start = time.perf_counter()
     fast = ReducedFast(problem.params) if problem.model == "reduced" \
         else FullFast(problem.params)
+    distance = PENALTY
     try:
         path = problem.make_path(values)
         trace = run_driven(fast, path, problem.snic, problem.ah,
                            rel_tol=problem.rel_tol, abs_tol=problem.abs_tol)
         fv = burst_features(trace)
     except ClassificationError as exc:
-        seq = str(exc)
-        return Trial(values=values, distance=PENALTY, db=False, sequence=seq)
-    except (StepSizeError, InvalidParameterError) as exc:
-        return Trial(values=values, distance=PENALTY, db=False,
-                     sequence=f"error: {exc}")
-    dist = feature_distance(fv, problem.target, problem.weights)
-    return Trial(values=values, distance=dist, db=True, sequence="DB")
+        status, seq = NOT_DB, str(exc)
+    except StepSizeError as exc:
+        status, seq = STEP_FAILURE, f"error: {exc}"
+    except InvalidParameterError as exc:
+        status, seq = INVALID, f"error: {exc}"
+    else:
+        distance = feature_distance(fv, problem.target, problem.weights)
+        status, seq = DB, "DB"
+    return Trial(values=values, distance=distance, db=status == DB,
+                 sequence=seq, status=status,
+                 seconds=time.perf_counter() - start)
 
 
 def latin_hypercube(bounds: dict, n: int, seed: int):

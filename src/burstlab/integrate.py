@@ -19,6 +19,11 @@ numpy arrays, one element per independent problem, advanced in lockstep by
 step_lanes with a step size and accept decision of its own per lane. Only
 the namespace the source is compiled in differs (TUPLES or LANES), so each
 lane does the tuple step's arithmetic in the same order.
+
+The generator takes each stage as source, by default one rhs call. An rhs
+may carry its own step as rhs.step, generated from the same source with
+other stages, and integrate then steps with it; the driven kernel of
+model.py is one, with the current balance inlined into every stage.
 """
 from __future__ import annotations
 
@@ -243,13 +248,25 @@ def _weighted(weights, i):
     return "h * " + (terms[0] if len(terms) == 1 else f"({' + '.join(terms)})")
 
 
-@functools.cache
-def _dopri_step(dim, ops=TUPLES):
-    """The Dormand-Prince step for states of dimension dim, unrolled from
-    the tableau: step(rhs, t, y, f, h, rel_tol, abs_tol) -> (y_new, k_step,
-    err), with k_step the 7 stage derivatives (f first, f at y_new last) and
-    err the RMS norm of the local error scaled by the tolerances. With
-    ops=LANES the same source runs on tuples of arrays, t and h per lane."""
+def _rhs_stage(t, k, fresh):
+    # the generic stage: one call of the rhs
+    z = ", ".join(f"z{i}" for i in range(len(k)))
+    return [f"{', '.join(k)}, = rhs({t}, ({z},))"]
+
+
+def step_source(dim, stage=_rhs_stage):
+    """Source lines of the Dormand-Prince step for states of dimension dim,
+    unrolled from the tableau: step(rhs, t, y, f, h, rel_tol, abs_tol) ->
+    (y_new, k_step, err), with k_step the 7 stage derivatives (f first, f at
+    y_new last) and err the RMS norm of the local error scaled by the
+    tolerances.
+
+    stage(t, k, fresh) gives the source of one stage: it assigns to the
+    names k the derivative at the time expression t and the stage state
+    z0, z1, .... fresh is False where the stage shares the time of the one
+    before, as the FSAL pair's last two do (c6 = c7 = 1), so what depends
+    on the time alone is still bound. The default stage calls rhs(t, z).
+    """
     def vec(fmt, **kw):
         return ", ".join(fmt.format(i=i, **kw) for i in range(dim)) + ","
 
@@ -258,17 +275,26 @@ def _dopri_step(dim, ops=TUPLES):
            f"    {vec('y{i}')} = y", f"    {vec('k0_{i}')} = f"]
     for s, (c, weights) in enumerate(zip(_C[1:], _A + (_B,)), 1):
         src += [f"    z{i} = y{i} + {_weighted(weights, i)}" for i in comps]
-        src += [f"    z = ({vec('z{i}')})",
-                f"    {vec('k{s}_{i}', s=s)} = rhs(t + {c!r} * h, z)"]
+        src += ["    " + line for line in stage(
+            f"t + {c!r} * h", [f"k{s}_{i}" for i in comps], c != _C[s - 1])]
     # square as r * r, which is correctly rounded; the C pow() behind r ** 2
     # can be 1 ulp off, and a 1-ulp err moves the step size
     src += [f"    r{i} = {_weighted(_E, i)} / "
             f"(abs_tol + rel_tol * max(abs(y{i}), abs(z{i})))" for i in comps]
     squares = " + ".join(f"r{i} * r{i}" for i in comps)
     stages = ", ".join(f"({vec('k{s}_{i}', s=s)})" for s in range(1, 7))
-    src += [f"    return z, (f, {stages}), sqrt(({squares}) * {1.0 / dim!r})"]
+    src += [f"    return ({vec('z{i}')}), (f, {stages}), "
+            f"sqrt(({squares}) * {1.0 / dim!r})"]
+    return src
+
+
+@functools.cache
+def _dopri_step(dim, ops=TUPLES):
+    """The step of step_source with the default stage, compiled for tuple
+    states, or with ops=LANES for tuples of arrays, t and h per lane."""
     namespace = {"sqrt": ops.sqrt, "max": ops.maximum}
-    exec(compile("\n".join(src), f"<DOPRI step, dim {dim}>", "exec"), namespace)
+    exec(compile("\n".join(step_source(dim)), f"<DOPRI step, dim {dim}>",
+                 "exec"), namespace)
     return namespace["step"]
 
 
@@ -395,6 +421,11 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
     initial_step), then six per attempt, the first stage being the last
     one of the step before.
 
+    An rhs with a step attribute is stepped by that function in place of
+    the generic step for its dimension; it takes the generic step's
+    arguments and must give its results. rhs itself still gives f at t0
+    and the trial step of initial_step.
+
     Raises
     ------
     StepSizeError
@@ -413,7 +444,7 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
         raise ValueError("rhs dimension does not match the initial state")
     h = initial_step(rhs, t0, y, f, rel_tol, abs_tol)
     h_min = 1e-14 * max(abs(t0), abs(t1), t1 - t0)
-    step = _dopri_step(dim)
+    step = getattr(rhs, "step", None) or _dopri_step(dim)
 
     ts = [t0]
     ys = [y]

@@ -6,40 +6,70 @@ Two fast subsystems are implemented: the five-variable one with state
 (v, n), obtained by setting m = m_inf(v), s = s_inf(v)/(s_inf(v) + k) and
 h = 1 - 1.08 n. The slow pair (Ca, Na) enters each fast subsystem only
 through the CAN conductance and the pump current. So each subsystem's current
-balance is written once, as a core that takes those two numbers, and every
-form is derived from it: frozen (Ca, Na) for the equilibria and landscapes,
-an imposed elliptic path for the driven models (the fast state alone against
-the path's closed form, or the full state with the path's rotation field),
-the biological slow equations for the autonomous models, a numpy form for
-the equilibrium scan, for the equilibrium branch that the bifurcation
-curves are traced on and for the lanes of a PERIOD field, and a complex
-form whose complex step gives the Jacobian. The readable six-current
-reference lives in tests/oracles.py, apart from this code.
+balance is written once, as source, and so is the map from (Ca, Na) to those
+two numbers. Every form is compiled or derived from them: frozen (Ca, Na)
+for the equilibria and landscapes, an imposed path for the driven models
+(the fast state alone against the path's closed form, or the full state with
+the path's rotation field), the biological slow equations for the autonomous
+models, a numpy form for the equilibrium scan, for the equilibrium branch
+that the bifurcation curves are traced on and for the lanes of a PERIOD
+field, and a complex form whose complex step gives the Jacobian. Driven runs
+step a generated kernel: the Dormand-Prince step with the balance and the
+forcing inlined into every stage, so a stage makes no rhs call. The readable
+six-current reference lives in tests/oracles.py, apart from this code.
 
 State is passed as plain tuples of floats, which is the fastest
 representation for systems of this size.
 """
 from __future__ import annotations
 
+import ast
 import cmath
+import functools
 import math
+import textwrap
 
 import numpy as np
 from scipy.special import expit
 
+from .integrate import step_source
 from .params import ModelParams, InvalidParameterError
 
 
-def _sig(x: float) -> float:
-    # logistic 1/(1+e^x), overflow-safe on both sides
-    if x >= 0.0:
-        if x > 700.0:
-            return 0.0
-        z = math.exp(-x)
-        return z / (1.0 + z)
-    if x < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(x))
+# The guarded logistic 1/(1 + e^x), overflow-safe on both sides, written once
+# as an expression over its argument ARG. Its temporaries are walrus names,
+# so it can stand inline for every sig(...) of a source compiled for tuples
+# (below); _sig is that same expression as a function. The temporaries are
+# used only after their own assignment and before any other sig is
+# evaluated, so nested and repeated sigs do not disturb each other.
+_SIG = ("((0.0 if _x > 700.0 else (_e := exp(-_x)) / (1.0 + _e))"
+        " if (_x := ARG) >= 0.0 else"
+        " (1.0 if _x < -700.0 else 1.0 / (1.0 + exp(_x))))")
+
+
+class _InlineSig(ast.NodeTransformer):
+    """Replaces every call sig(arg) by _SIG over arg."""
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if not (isinstance(node.func, ast.Name) and node.func.id == "sig"):
+            return node
+        return _Substitute({"ARG": node.args[0]}).visit(
+            ast.parse(_SIG, mode="eval").body)
+
+
+class _Substitute(ast.NodeTransformer):
+    """Replaces names: by another name where the mapping holds a string,
+    else by the mapped expression."""
+
+    def __init__(self, mapping):
+        self.mapping = mapping
+
+    def visit_Name(self, node):
+        new = self.mapping.get(node.id)
+        if new is None:
+            return node
+        return ast.Name(new, node.ctx) if isinstance(new, str) else new
 
 
 def _sig_array(x):
@@ -54,6 +84,36 @@ def _csig(x: complex) -> complex:
     if x.real < -700.0:
         return 1.0
     return 1.0 / (1.0 + cmath.exp(x))
+
+
+def phi(na: float, k_na: float) -> float:
+    """Pump saturation Na^3 / (Na^3 + k_Na^3); phi(k_Na) = 1/2."""
+    na3 = na * na * na
+    return na3 / (na3 + k_na * k_na * k_na)
+
+
+# The namespaces the sources of this module compile in: for the
+# integrator's tuples of floats, where sig stands inline; for numpy arrays;
+# for the complex step of the Jacobian.
+_FORMS = {
+    "tuple": {"exp": math.exp, "cosh": math.cosh, "sqrt": math.sqrt},
+    "array": {"sig": _sig_array, "cosh": np.cosh},
+    "complex": {"sig": _csig, "cosh": cmath.cosh},
+}
+
+
+def _compile(src: str, form: str, name: str):
+    """The function name that src defines, compiled in the namespace of
+    form."""
+    tree = ast.parse(src)
+    namespace = dict(_FORMS[form], phi=phi)
+    if "sig" not in namespace:
+        tree = ast.fix_missing_locations(_InlineSig().visit(tree))
+    exec(compile(tree, f"<{name}, {form}>", "exec"), namespace)
+    return namespace[name]
+
+
+_sig = _compile("def _sig(x):\n    return sig(x)\n", "tuple", "_sig")
 
 
 def gate_inf(v: float, theta: float, sigma: float) -> float:
@@ -81,12 +141,6 @@ def gate_tau(v: float, t_x: float, theta: float, sigma: float) -> float:
     return t_x / math.cosh(x)
 
 
-def phi(na: float, k_na: float) -> float:
-    """Pump saturation Na^3 / (Na^3 + k_Na^3); phi(k_Na) = 1/2."""
-    na3 = na * na * na
-    return na3 / (na3 + k_na * k_na * k_na)
-
-
 def can_activation(ca: float, p: ModelParams) -> float:
     """Calcium gate of the CAN current, 1/(1 + exp((Ca - k_CAN)/sigma_CAN))."""
     return _sig((ca - p.k_can) / p.sigma_can)
@@ -99,16 +153,20 @@ def s_slaved(v: float, p: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The current balance, written once per fast subsystem. Each builder captures
-# the parameters as closure locals, the fastest lookup in CPython, and takes
-# the sigmoid and cosh as arguments: _sig and math.cosh for the integrator's
-# tuples, _sig_array and np.cosh for numpy arrays, _csig and cmath.cosh for
-# the complex-step Jacobian. The operation order in the cores and in
-# _slow_currents fixes driven and autonomous runs to the last digit;
-# reordering it changes every stored trace.
+# The current balance, written once per fast subsystem as source, and the
+# forcing (Ca, Na) -> (a_can, i_pump) likewise. Each source defines make(p),
+# which binds the parameters as closure locals, the fastest lookup in
+# CPython, and returns the function. The code compiles once per source and
+# form (_maker); parameters bind per call of make, so a new parameter set
+# costs a closure, not a compile. The forms: tuples of floats, with sig
+# inline as _SIG and math.cosh; numpy arrays, with _sig_array and np.cosh;
+# complex numbers for the Jacobian, with _csig and cmath.cosh. _driven_step
+# inlines the function bodies into the stages of a Dormand-Prince step. The
+# operation order in these sources fixes driven and autonomous runs to the
+# last digit; reordering it changes every stored trace.
 
-def _fast2_core(p: ModelParams, sig=_sig, cosh=math.cosh):
-    """(v, n, a_can, i_pump) -> (v', n') of the reduced fast subsystem."""
+_FAST2 = """
+def make(p):
     g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
         p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
     inv_c, e_can = 1.0 / p.c, p.e_can
@@ -118,6 +176,7 @@ def _fast2_core(p: ModelParams, sig=_sig, cosh=math.cosh):
     t_n, k = p.t_n, p.k
 
     def core(v, n, a_can, i_pump):
+        # (v, n, a_can, i_pump) -> (v', n') of the reduced fast subsystem
         m = sig((v - th_m) * inv_sm)
         si = sig((v - th_s) * inv_ss)
         h = 1.0 - 1.08 * n
@@ -132,10 +191,10 @@ def _fast2_core(p: ModelParams, sig=_sig, cosh=math.cosh):
         return dv, dn
 
     return core
+"""
 
-
-def _fast5_core(p: ModelParams, sig=_sig, cosh=math.cosh):
-    """(v, n, m, h, s, a_can, i_pump) -> the five fast derivatives."""
+_FAST5 = """
+def make(p):
     g_l, e_l, g_k, e_k, g_na, e_na, g_syn, e_syn = (
         p.g_l, p.e_l, p.g_k, p.e_k, p.g_na, p.e_na, p.g_syn, p.e_syn)
     inv_c, e_can = 1.0 / p.c, p.e_can
@@ -146,6 +205,7 @@ def _fast5_core(p: ModelParams, sig=_sig, cosh=math.cosh):
     inv_tau_s, k = 1.0 / p.tau_s, p.k
 
     def core(v, n, m, h, s, a_can, i_pump):
+        # (v, n, m, h, s, a_can, i_pump) -> the five fast derivatives
         n2 = n * n
         dv = -inv_c * (g_l * (v - e_l)
                        + g_k * n2 * n2 * (v - e_k)
@@ -160,26 +220,84 @@ def _fast5_core(p: ModelParams, sig=_sig, cosh=math.cosh):
         return dv, dn, dm, dh, ds
 
     return core
+"""
 
-
-def _slow_currents(p: ModelParams):
-    """(Ca, Na) -> (a_can, i_pump): the CAN conductance g_CAN x_CAN(Ca) and
-    the pump current, zero at the baseline Na_b."""
+_SLOW_CURRENTS = """
+def make(p):
     g_can, k_can, inv_scan = p.g_can, p.k_can, 1.0 / p.sigma_can
     r_pump, kna3, phi_b = p.r_pump, p.k_na ** 3, phi(p.na_b, p.k_na)
-    sig = _sig
 
     def slow_currents(ca, na):
+        # (Ca, Na) -> (a_can, i_pump): the CAN conductance g_CAN x_CAN(Ca)
+        # and the pump current, zero at the baseline Na_b
         na3 = na * na * na
-        return (g_can * sig((ca - k_can) * inv_scan),
-                r_pump * (na3 / (na3 + kna3) - phi_b))
+        a_can = g_can * sig((ca - k_can) * inv_scan)
+        i_pump = r_pump * (na3 / (na3 + kna3) - phi_b)
+        return a_can, i_pump
 
     return slow_currents
+"""
+
+
+@functools.cache
+def _maker(src: str, form: str):
+    # each source compiles once per form
+    return _compile(src, form, "make")
+
+
+def _parts(src: str):
+    """(prelude, arguments, body, results) of a source's make(p): the
+    statements that bind the parameters, and the inner function's argument
+    names, statements and returned names."""
+    make = ast.parse(src).body[0]
+    *prelude, inner, _ = make.body
+    *body, ret = inner.body
+    return (prelude, [a.arg for a in inner.args.args], body,
+            [e.id for e in ret.value.elts])
+
+
+def _inline(src: str, args, results):
+    """The inner function's statements as source lines, its arguments and
+    results renamed to the given names and its other locals suffixed with
+    an underscore, so they cannot collide with the step's names."""
+    _, names, body, returned = _parts(src)
+    stored = {node.id for stmt in body for node in ast.walk(stmt)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    mapping = {name: name + "_" for name in stored}
+    mapping.update(zip(names, args))
+    mapping.update(zip(returned, results))
+    return [ast.unparse(_Substitute(mapping).visit(stmt)) for stmt in body]
+
+
+@functools.cache
+def _driven_step(balance: str):
+    """The fused Dormand-Prince step of a fast subsystem driven along a path,
+    compiled once per balance: make(p, point) -> step(rhs, t, y, f, h,
+    rel_tol, abs_tol), like integrate's generic step, which it matches bit
+    for bit. Each stage inlines the balance; each distinct stage time
+    inlines the forcing, _SLOW_CURRENTS at point(t). rhs is not called."""
+    args = _parts(balance)[1]
+    dim = len(args) - 2
+    forcing = args[dim:]
+    z = [f"z{i}" for i in range(dim)]
+
+    def stage(t, k, fresh):
+        lines = []
+        if fresh:
+            lines += [f"ca, na = point({t})"]
+            lines += _inline(_SLOW_CURRENTS, ["ca", "na"], forcing)
+        return lines + _inline(balance, z + forcing, k)
+
+    prelude = [ast.unparse(stmt) for src in (_SLOW_CURRENTS, balance)
+               for stmt in _parts(src)[0]]
+    body = textwrap.indent("\n".join(prelude + step_source(dim, stage)), "    ")
+    return _compile(f"def make(p, point):\n{body}\n    return step\n",
+                    "tuple", "make")
 
 
 def can_calcium(a_can, p: ModelParams):
     """Ca at which the CAN conductance g_CAN x_CAN(Ca) equals a_can, for
-    0 < a_can < g_CAN: the inverse of the CAN gate in _slow_currents.
+    0 < a_can < g_CAN: the inverse of the CAN gate in _SLOW_CURRENTS.
     Takes floats or numpy arrays."""
     return p.k_can + p.sigma_can * np.log(p.g_can / a_can - 1.0)
 
@@ -206,10 +324,10 @@ class _FastSubsystem:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self._core = self._make_core(params)
-        self._array_core = self._make_core(params, sig=_sig_array, cosh=np.cosh)
-        self._complex_core = self._make_core(params, sig=_csig, cosh=cmath.cosh)
-        self._slow_currents = _slow_currents(params)
+        self._core = _maker(self._balance, "tuple")(params)
+        self._array_core = _maker(self._balance, "array")(params)
+        self._complex_core = _maker(self._balance, "complex")(params)
+        self._slow_currents = _maker(_SLOW_CURRENTS, "tuple")(params)
 
     def __reduce__(self):
         # the cores are closures, which do not pickle: rebuild from params
@@ -217,6 +335,25 @@ class _FastSubsystem:
 
     def rhs(self, y, slow):
         return self._core(*y, *self._slow_currents(*slow))
+
+    def path_rhs(self, path):
+        """rhs(t, y) of the fast state alone, with (Ca, Na) the path's
+        closed form at time t. This is what run_driven integrates.
+
+        The rhs carries its fused step as rhs.step, which integrate takes in
+        place of its generic one: the balance and the forcing inlined into
+        every stage, the forcing evaluated once per distinct stage time. It
+        gives the generic step's bits, so a wrapped rhs, which loses the
+        attribute, integrates to the same trajectory.
+        """
+        core, slow_currents = self._core, self._slow_currents
+        point = path.closed_form()
+
+        def rhs(t, y):
+            return core(*y, *slow_currents(*point(t)))
+
+        rhs.step = _driven_step(self._balance)(self.params, point)
+        return rhs
 
     def lane_rhs(self, slows):
         """rhs(t, y) of the frozen fast system at many slow points at once,
@@ -284,37 +421,13 @@ class ReducedFast(_FastSubsystem):
 
     dim = 2
     name = "reduced"
-    _make_core = staticmethod(_fast2_core)
+    _balance = _FAST2
 
     def frozen_rhs(self, slow):
         core = self._core
         a_can, i_pump = self._slow_currents(*slow)
 
         def rhs(t, y):
-            v, n = y
-            return core(v, n, a_can, i_pump)
-
-        return rhs
-
-    def path_rhs(self, path):
-        """Fast state (v, n) only; (Ca, Na) is the path's closed form at time
-        t. This is what run_driven integrates.
-
-        The forcing (a_can, i_pump) is a function of t alone, and the last
-        two stages of a Dormand-Prince step share their time t + h, so the
-        last (t, a_can, i_pump) is kept and reused at an equal t. It is one
-        tuple, replaced whole, so any call order gives the forcing at t.
-        """
-        core, slow_currents = self._core, self._slow_currents
-        point = path.closed_form()
-        last = (math.nan, 0.0, 0.0)
-
-        def rhs(t, y):
-            nonlocal last
-            t_last, a_can, i_pump = last
-            if t != t_last:
-                a_can, i_pump = slow_currents(*point(t))
-                last = (t, a_can, i_pump)
             v, n = y
             return core(v, n, a_can, i_pump)
 
@@ -351,35 +464,13 @@ class FullFast(_FastSubsystem):
 
     dim = 5
     name = "full"
-    _make_core = staticmethod(_fast5_core)
+    _balance = _FAST5
 
     def frozen_rhs(self, slow):
         core = self._core
         a_can, i_pump = self._slow_currents(*slow)
 
         def rhs(t, y):
-            v, n, m, h, s = y
-            return core(v, n, m, h, s, a_can, i_pump)
-
-        return rhs
-
-    def path_rhs(self, path):
-        """Fast state (v, n, m, h, s) only; (Ca, Na) is the path's closed
-        form at time t. This is what run_driven integrates.
-
-        As in ReducedFast.path_rhs, the last (t, a_can, i_pump) is kept,
-        because the last two stages of a step share their time.
-        """
-        core, slow_currents = self._core, self._slow_currents
-        point = path.closed_form()
-        last = (math.nan, 0.0, 0.0)
-
-        def rhs(t, y):
-            nonlocal last
-            t_last, a_can, i_pump = last
-            if t != t_last:
-                a_can, i_pump = slow_currents(*point(t))
-                last = (t, a_can, i_pump)
             v, n, m, h, s = y
             return core(v, n, m, h, s, a_can, i_pump)
 

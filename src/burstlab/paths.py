@@ -7,10 +7,11 @@ views agree and the quadratic form Q below is conserved along the flow.
 The closed form is written once, as the function EllipsePath.closed_form
 returns over the path's constants; EllipsePath.point evaluates it at one
 time. Driven runs use the closed form: they integrate only the fast
-variables and read (Ca, Na) from a closed_form function taken once per run,
-so a stage evaluation reads no path attribute. The rotation field remains
-for the full-state driven rhs of the fast subsystems, and it gives the
-path's velocity at any point.
+variables, and the fused step of the driven kernel (model.py) calls a
+closed_form function taken once per run at each distinct stage time, so it
+reads no path attribute. The rotation field remains for the full-state
+driven rhs of the fast subsystems, and it gives the path's velocity at any
+point.
 """
 from __future__ import annotations
 
@@ -58,9 +59,11 @@ class EllipsePath:
         """The closed-form position as a function point(t), counter-clockwise
         from t = 0, over the path's constants taken once.
 
-        Driven runs call it at every stage of every step, so it reads no
-        attribute per call. Pass np.cos and np.sin for a point(t) that takes
-        a numpy array of times.
+        The driven kernel calls it once per distinct stage time of every
+        step, five times a step, so it reads no attribute per call. Any
+        path whose position has a closed form can drive a run through such
+        a function. Pass np.cos and np.sin for a point(t) that takes a numpy
+        array of times.
         """
         eps, ca_c, na_c = self.eps, self.ca_c, self.na_c
         dca = self.ca0 - ca_c

@@ -154,7 +154,7 @@ def test_fit_command(tmp_path, curves2, fig4_d1_trace):
     assert rc == 0
     best = parse_config(best_cfg.read_text())
     assert 0.7 <= float(best["path.d"]) <= 1.4
-    assert log_csv.read_text().splitlines()[0] == "d,distance,db,sequence"
+    assert log_csv.read_text().splitlines()[0] == "d,distance,db,status,seconds,sequence"
 
 
 @pytest.mark.parametrize("command", ["features", "fit"])

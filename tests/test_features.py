@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from oracles import rhs_fast4
 
-from burstlab import REDUCED4D, EllipsePath
+from burstlab import FULL7D, REDUCED4D, EllipsePath, FullFast, ReducedFast
 from burstlab.features import (SPIKE_REFRACTORY, SPIKE_THRESHOLD,
                                ClassificationError, FeatureVector,
                                _spikes_in_window, burst_features,
@@ -237,6 +237,25 @@ def test_driven_slow_columns_follow_the_path(name, request):
         gap = np.hypot(*(traj.sample(e.t)[-2:] - np.array(path.point(e.t))))
         assert gap <= 1e-10 * path.delta
         assert e.y == tuple(traj.sample(e.t))
+
+
+@pytest.mark.parametrize("name,cls,params,curves", [
+    ("fig4_d1_trace", ReducedFast, REDUCED4D, "curves2"),
+    ("fig3_d2_trace", FullFast, FULL7D, "curves5")])
+def test_fused_step_is_the_generic_step(name, cls, params, curves, request):
+    # run_driven steps path_rhs's fused kernel; the same run with the rhs
+    # wrapped in a lambda, which carries no kernel, takes integrate's
+    # generic step and must give the same bits
+    trace = request.getfixturevalue(name)
+    fast = cls(params)
+    path_rhs = fast.path_rhs
+    assert callable(path_rhs(trace.path).step)
+    fast.path_rhs = lambda path: (lambda t, y, rhs=path_rhs(path): rhs(t, y))
+    generic = run_driven(fast, trace.path, *request.getfixturevalue(curves))
+    for attr in ("ts", "ys", "_dense"):
+        assert np.array_equal(getattr(generic.trajectory, attr),
+                              getattr(trace.trajectory, attr)), attr
+    assert generic.spikes == trace.spikes
 
 
 _DRIVEN_PATHS = [(name, i) for name in ("fig3", "fig4", "fig5", "fig7")

@@ -1,6 +1,6 @@
 import pytest
 
-from burstlab import REDUCED4D, StepSizeError, fit
+from burstlab import REDUCED4D, InvalidParameterError, StepSizeError, fit
 from burstlab.features import burst_features
 from burstlab.fit import (FitProblem, fit_path, latin_hypercube, nelder_mead,
                           PENALTY)
@@ -99,6 +99,10 @@ def test_fit_penalizes_non_db(reduced, curves2, fig4_d1_trace):
     result = fit_path(problem, workers=1)
     assert any(not tr.db for tr in result.trials)
     assert all(tr.distance == PENALTY for tr in result.trials if not tr.db)
+    # every trial is timed and carries its class
+    assert {tr.status for tr in result.trials} == {"db", "not_db"}
+    assert all(tr.db == (tr.status == "db") for tr in result.trials)
+    assert all(tr.seconds > 0.0 for tr in result.trials)
     best_trial = min((tr for tr in result.trials if tr.db),
                      key=lambda tr: tr.distance)
     assert result.best_distance == best_trial.distance
@@ -121,8 +125,12 @@ def test_fit_result_csv(tmp_path, small_problem):
     out = tmp_path / "log.csv"
     result.to_csv(out)
     lines = out.read_text().splitlines()
-    assert lines[0] == "ca0,d,distance,db,sequence"
+    assert lines[0] == "ca0,d,distance,db,status,seconds,sequence"
     assert len(lines) == len(result.trials) + 1
+    for line, tr in zip(lines[1:], result.trials):
+        status, seconds, sequence = line.split(",", 6)[4:]
+        assert status == tr.status and sequence == tr.sequence
+        assert float(seconds) == pytest.approx(tr.seconds, abs=1e-6)
 
 
 def _raise(exc):
@@ -142,3 +150,12 @@ def test_fit_step_failure_is_penalized(small_problem, monkeypatch):
     trial = fit._evaluate(small_problem, {"d": 1.0, "ca0": 0.0})
     assert trial.distance == PENALTY and not trial.db
     assert trial.sequence == "error: forced"
+    assert trial.status == "step_failure"
+
+
+def test_fit_invalid_path_is_penalized(small_problem, monkeypatch):
+    monkeypatch.setattr(fit, "run_driven",
+                        _raise(InvalidParameterError("forced")))
+    trial = fit._evaluate(small_problem, {"d": 1.0, "ca0": 0.0})
+    assert trial.distance == PENALTY and not trial.db
+    assert (trial.status, trial.sequence) == ("invalid", "error: forced")

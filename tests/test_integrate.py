@@ -218,10 +218,14 @@ def _step_cases(reduced, full):
     rng = np.random.default_rng(13)
     p2 = EllipsePath.centered(0.15, 5.85, 1.0, 0.0, 0.004)
     p5 = EllipsePath.centered(0.7, 5.35, 2.0, 0.0, 0.009)
+    forced2, forced5 = reduced.path_rhs(p2), full.path_rhs(p5)
     cases = [
         ("frozen 2D", reduced.frozen_rhs((0.2, 5.3)), (-30.0, 0.3), 0.1),
-        ("path_rhs 2D", reduced.path_rhs(p2), (-50.0, 0.1), 2.0),
-        ("path_rhs 5D", full.path_rhs(p5), full.slaved(-40.0), 0.5),
+        # a lambda carries no fused step: path_rhs by the generic step
+        ("path_rhs 2D", lambda t, y: forced2(t, y), (-50.0, 0.1), 2.0),
+        ("path_rhs 5D", lambda t, y: forced5(t, y), full.slaved(-40.0), 0.5),
+        ("driven kernel 2D", forced2, (-50.0, 0.1), 2.0),
+        ("driven kernel 5D", forced5, full.slaved(-40.0), 0.5),
         ("autonomous 4D", reduced.autonomous_rhs(),
          reduced.slaved(-40.0) + (0.1, 5.0), 0.5),
         ("autonomous 7D", full.autonomous_rhs(),
@@ -235,13 +239,15 @@ def _step_cases(reduced, full):
 
 
 def test_generated_step_matches_reference_tableau(reduced, full):
-    # one unrolled step per dimension 1-7 against the numpy step built on
-    # scipy's RK45 tableau: checks the transcription and the generator
+    # one unrolled step per dimension 1-7, and the fused steps of the driven
+    # kernels, against the numpy step built on scipy's RK45 tableau: checks
+    # the transcription and the generators
     dims = set()
     for name, rhs, y, h in _step_cases(reduced, full):
         t, y = 120.0, tuple(float(v) for v in y)
         f = tuple(rhs(t, y))
-        y_new, k_step, err = _dopri_step(len(y))(rhs, t, y, f, h, 1e-6, 1e-8)
+        step = getattr(rhs, "step", None) or _dopri_step(len(y))
+        y_new, k_step, err = step(rhs, t, y, f, h, 1e-6, 1e-8)
         y_ref, k_ref, err_ref = dopri_step(rhs, t, y, f, h, 1e-6, 1e-8)
         np.testing.assert_allclose(y_new, y_ref, rtol=1e-13, atol=0, err_msg=name)
         np.testing.assert_allclose(np.array(k_step), k_ref, rtol=1e-13,
@@ -249,6 +255,26 @@ def test_generated_step_matches_reference_tableau(reduced, full):
         assert err == pytest.approx(err_ref, rel=1e-12, abs=0), name
         dims.add(len(y))
     assert dims == set(range(1, 8))
+
+
+def test_integrate_takes_the_step_an_rhs_carries():
+    # integrate steps with rhs.step where the rhs has one, and gets the
+    # generic step's trajectory when that step is the generic one
+    calls = []
+
+    def step(*args):
+        calls.append(args[1])
+        return _dopri_step(2)(*args)
+
+    def rhs(t, y):
+        return _van_der_pol(t, y)
+
+    plain = integrate(rhs, (2.0, 0.0), (0.0, 5.0))
+    rhs.step = step
+    carried = integrate(rhs, (2.0, 0.0), (0.0, 5.0))
+    assert len(calls) >= len(carried.ts) - 1
+    assert np.array_equal(carried.ys, plain.ys)
+    assert np.array_equal(carried._dense, plain._dense)
 
 
 def _van_der_pol(t, y):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -13,8 +14,44 @@ import burstlab
 from burstlab import FULL7D, REDUCED4D, EllipsePath, InvalidParameterError
 from burstlab.bifurcation import DEFAULT_CA_WINDOW, DEFAULT_NA_RANGE
 from burstlab.integrate import integrate
+from burstlab import model
 from burstlab.model import (FullFast, can_activation, can_calcium, gate_inf,
                             gate_tau, phi, s_slaved)
+
+
+def _sig_reference(x):
+    # the guarded logistic 1/(1 + e^x), written out
+    if x >= 0.0:
+        if x > 700.0:
+            return 0.0
+        z = math.exp(-x)
+        return z / (1.0 + z)
+    if x < -700.0:
+        return 1.0
+    return 1.0 / (1.0 + math.exp(x))
+
+
+# the tuple form inlines every sig; here one nests in another and one
+# repeats, so the walrus temporaries of one must not leak into another
+_INLINE = model._compile(
+    "def f(x):\n    return sig(x), sig(sig(x) - x) + sig(-x)\n", "tuple", "f")
+_SIG_EDGES = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, math.inf, -math.inf,
+              math.nan] + [e for x in (700.0, -700.0) for e in (
+                  x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))]
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats() | st.sampled_from(_SIG_EDGES))
+def test_inline_sigmoid_is_sig_bit_for_bit(x):
+    assert "sig" not in _INLINE.__code__.co_names
+    one, two = _INLINE(x)
+    ref = _sig_reference
+    assert _bits(one) == _bits(model._sig(x)) == _bits(ref(x))
+    assert _bits(two) == _bits(ref(ref(x) - x) + ref(-x))
 
 
 def test_gate_inf_midpoint():
@@ -190,8 +227,9 @@ def test_every_rhs_form_matches_oracle(model, request):
     path = EllipsePath.centered(0.3, 5.6, 1.5, 0.1, 0.006)
     driven, auto = fast.driven_rhs(path), fast.autonomous_rhs()
     forced = fast.path_rhs(path)
-    # path_rhs keeps the forcing of the last t: repeat a t with another
-    # state, step back in time and return, so a stale forcing shows
+    # path_rhs evaluates the forcing at every call: repeated times with
+    # another state, a step back in time and a return would show a forcing
+    # kept from an earlier call
     times = (0.0, 40.0, 40.0, 15.0, 15.0, 40.0, 900.0, 0.0)
     for i, (y, slow) in enumerate(_sample_states(fast, 11)):
         t = times[i % len(times)]
@@ -218,6 +256,29 @@ def test_every_rhs_form_matches_oracle(model, request):
         _assert_close(aut[:fast.dim], ref)
         _assert_close(aut[fast.dim:], rhs_slow7(lifted, slow, p))
         _assert_close(fast.g_array(np.array([y[0]]), slow), [g_ref])
+
+
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_driven_kernel_evaluates_the_forcing_once_per_stage_time(model,
+                                                                  request):
+    # path_rhs reads the path through closed_form() alone; counting its
+    # calls shows the fused step evaluates the forcing at the five distinct
+    # stage times of each attempt, stages 6 and 7 sharing t + h
+    fast = request.getfixturevalue(model)
+    point = EllipsePath.centered(0.3, 5.6, 1.5, 0.1, 0.006).closed_form()
+    times = []
+
+    class CountedPath:
+        def closed_form(self):
+            def counted(t):
+                times.append(t)
+                return point(t)
+            return counted
+
+    traj = integrate(fast.path_rhs(CountedPath()), fast.slaved(-60.0),
+                     (0.0, 200.0))
+    # f at t0 and initial_step's trial step are rhs calls
+    assert len(times) == 2 + 5 * (traj.stats.steps + traj.stats.rejected)
 
 
 @pytest.mark.parametrize("model", ["reduced", "full"])
