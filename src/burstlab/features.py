@@ -64,8 +64,13 @@ class BurstTrace:
         return tuple((e.label, e.direction) for e in self.events)
 
     def sequence_str(self) -> str:
-        arrow = {1: "+", -1: "-"}
-        return ",".join(f"{e.label}{arrow[e.direction]}" for e in self.events)
+        return _sequence_str(self.sequence())
+
+
+def _sequence_str(sequence) -> str:
+    arrow = {1: "+", -1: "-"}
+    return ",".join(f"{label}{arrow[direction]}"
+                    for label, direction in sequence)
 
 
 def crossing_events(snic: BifCurve, ah: BifCurve):
@@ -148,19 +153,28 @@ def _rest_state(fast, slow):
     return fast.slaved(-60.0)
 
 
-def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
-               rel_tol: float = 1e-8, abs_tol: float = 1e-8) -> BurstTrace:
-    """Simulate the driven system for one slow period and annotate it.
+@dataclass(frozen=True)
+class CycleWindow:
+    """The cycle window of an imposed path, known before any integration."""
 
-    The slow pair follows the path in closed form, so the SNIC and AH
-    crossings come from the path alone, before any integration. The cycle
-    window starts at the first upward SNIC crossing, so a DB trace contains
-    exactly one SNIC, AH, AH, SNIC sequence; a path without one starts the
-    window at 0 and sets start_fallback. One integration of the fast
-    variables alone, from the rest state at the path's initial point, runs
-    to the window end, stepped by the fused kernel of fast.path_rhs, which
-    reads (Ca, Na) from the path's closed_form function; the path's
-    (Ca, Na) is then appended as the last two columns of the trajectory.
+    t_start: float
+    t_end: float
+    crossings: tuple       # (t, index, direction) inside [t_start, t_end)
+    fallback: bool         # no upward SNIC crossing: t_start is 0
+
+    def sequence(self) -> tuple:
+        return tuple((_LABELS[index], direction)
+                     for _, index, direction in self.crossings)
+
+
+def cycle_window(path: EllipsePath, snic: BifCurve,
+                 ah: BifCurve) -> CycleWindow:
+    """One slow period of the path from its first upward SNIC crossing,
+    with the SNIC and AH crossings inside it, from the path alone.
+
+    The crossings are found over two periods, so a DB path shows exactly
+    one SNIC, AH, AH, SNIC sequence in its window; a path without an
+    upward SNIC crossing starts the window at 0 and sets fallback.
     """
     period = path.period
     crossings = path_crossings(path, snic, ah, 2.0 * period)
@@ -172,20 +186,39 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
                   path)
         t1 = 0.0
     t2 = t1 + period
+    return CycleWindow(
+        t_start=t1, t_end=t2, fallback=fallback,
+        crossings=tuple(c for c in crossings if _in_window(c[0], t1, t2)))
+
+
+def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
+               rel_tol: float = 1e-8, abs_tol: float = 1e-8) -> BurstTrace:
+    """Simulate the driven system over its cycle window and annotate it.
+
+    The slow pair follows the path in closed form, so the window and its
+    SNIC and AH crossings come from cycle_window, before any integration.
+    One integration of the fast variables alone, from the rest state at
+    the path's initial point, runs to the window end, stepped by the fused
+    kernel of fast.path_rhs, which reads (Ca, Na) from the path's
+    closed_form function; the path's (Ca, Na) is then appended as the last
+    two columns of the trajectory. Any path runs, DB or not.
+    """
+    window = cycle_window(path, snic, ah)
+    t1, t2 = window.t_start, window.t_end
     fast_traj = integrate(fast.path_rhs(path),
                           _rest_state(fast, (path.ca0, path.na0)), (0.0, t2),
                           rel_tol=rel_tol, abs_tol=abs_tol)
     point = path.closed_form(np.cos, np.sin)
     traj = append_closed_form(fast_traj, point, lambda t: path.rhs(point(t)))
-    window = [c for c in crossings if _in_window(c[0], t1, t2)]
     events = tuple(
         EventRecord(index=index, t=te, y=tuple(traj.sample(te).tolist()),
                     direction=direction, label=_LABELS[index])
-        for te, index, direction in window)
+        for te, index, direction in window.crossings)
     return BurstTrace(
-        trajectory=traj, t_start=t1, t_end=t2, period=period, events=events,
-        spikes=_spikes_in_window(traj, t1, t2),
-        model=f"driven-{fast.name}", path=path, start_fallback=fallback)
+        trajectory=traj, t_start=t1, t_end=t2, period=path.period,
+        events=events, spikes=_spikes_in_window(traj, t1, t2),
+        model=f"driven-{fast.name}", path=path,
+        start_fallback=window.fallback)
 
 
 def _autonomous_run(fast, snic, ah, t_transient, t_budget, rel_tol, abs_tol,
@@ -264,6 +297,14 @@ def _debounce_events(events, traj, snic, ah, depth_frac: float):
 _DB_SEQUENCE = (("SNIC", 1), ("AH", 1), ("AH", -1), ("SNIC", -1))
 
 
+def require_db(sequence) -> None:
+    """Raise ClassificationError unless the crossing sequence, (label,
+    direction) pairs by time, is SNIC, AH, AH, SNIC (up, up, down, down)."""
+    if tuple(sequence) != _DB_SEQUENCE:
+        seq = _sequence_str(sequence) or "no crossings"
+        raise ClassificationError(f"crossing sequence {seq} is not DB")
+
+
 @dataclass(frozen=True)
 class Stages:
     """Half-open stage intervals of one DB cycle, in ms.
@@ -291,9 +332,7 @@ def segment_stages(trace: BurstTrace) -> Stages:
     whose peak rises at least ENVELOPE_MARGIN above the highest v of the
     silent stage; it is reported for completeness but is heuristic.
     """
-    if trace.sequence() != _DB_SEQUENCE:
-        seq = trace.sequence_str() or "no crossings"
-        raise ClassificationError(f"crossing sequence {seq} is not DB")
+    require_db(trace.sequence())
     t_s1, t_a1, t_a2, t_s2 = (e.t for e in trace.events)
     quiet_max = v_range(trace.trajectory, t_s2, trace.t_start + trace.period)[1]
     split = t_a1

@@ -3,9 +3,11 @@
 Two-phase derivative-free search: a Latin-hypercube sample of the parameter
 box keeps the trials that classify as DB bursting, then a Nelder-Mead
 simplex descends from the best of them. Trials that fail DB classification
-are penalized, never returned as best. The objective is piecewise smooth
-(spike counts are integers), hence the derivative-free choice; spike-count
-terms carry zero weight by default and are reported, not optimized.
+are penalized, never returned as best. A trial is classified from its
+path's crossings before any integration, and only a DB-windowed trial runs
+the driven model. The objective is piecewise smooth (spike counts are
+integers), hence the derivative-free choice; spike-count terms carry zero
+weight by default and are reported, not optimized.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Optional
 
 from .bifurcation import BifCurve
 from .features import (ClassificationError, FeatureVector, burst_features,
-                       feature_distance, run_driven)
+                       cycle_window, feature_distance, require_db, run_driven)
 from .integrate import StepSizeError
 from .landscape import STEP_FAILURE, _map, sweep_workers
 from .model import FullFast, ReducedFast
@@ -79,10 +81,11 @@ class FitProblem:
 @dataclass(frozen=True)
 class Trial:
     """One evaluation of the objective. sequence is "DB", the crossing
-    sequence of a non-DB trace, or "error: ..." for a step failure or an
-    invalid path; status names the class (DB, NOT_DB, STEP_FAILURE or
-    INVALID). seconds, the wall time of the evaluation, is left out of
-    comparisons, so equal fits compare equal."""
+    sequence of a non-DB path's cycle window, or "error: ..." for a step
+    failure or an invalid path; status names the class (DB, NOT_DB,
+    STEP_FAILURE or INVALID). seconds, the wall time of the evaluation (of
+    the classification alone for NOT_DB), is left out of comparisons, so
+    equal fits compare equal."""
 
     values: dict
     distance: float
@@ -124,11 +127,14 @@ class FitResult:
 
 def _evaluate(problem: FitProblem, values: dict):
     start = time.perf_counter()
-    fast = ReducedFast(problem.params) if problem.model == "reduced" \
-        else FullFast(problem.params)
     distance = PENALTY
     try:
         path = problem.make_path(values)
+        # the class follows from the path's crossings: only a DB window
+        # is worth an integration
+        require_db(cycle_window(path, problem.snic, problem.ah).sequence())
+        fast = ReducedFast(problem.params) if problem.model == "reduced" \
+            else FullFast(problem.params)
         trace = run_driven(fast, path, problem.snic, problem.ah,
                            rel_tol=problem.rel_tol, abs_tol=problem.abs_tol)
         fv = burst_features(trace)
@@ -241,7 +247,10 @@ def fit_path(problem: FitProblem, workers: Optional[int] = None) -> FitResult:
     Phase 1 evaluates a Latin-hypercube sample of ceil(budget/3) points
     (concurrently when workers > 1) and keeps the DB-classified ones; phase
     2 runs Nelder-Mead from the best sample with non-DB trials penalized.
-    Deterministic for a fixed seed and problem.
+    Every trial is classified from its path's crossings before it is
+    integrated: a not_db trial runs no integration, its seconds is the
+    classification time, and step_failure arises only for DB-windowed
+    paths. Deterministic for a fixed seed and problem.
 
     Raises RuntimeError listing the observed crossing sequences when no
     phase-1 point classifies as DB.

@@ -1,9 +1,12 @@
 import pytest
 
 from burstlab import REDUCED4D, InvalidParameterError, StepSizeError, fit
-from burstlab.features import burst_features
-from burstlab.fit import (FitProblem, fit_path, latin_hypercube, nelder_mead,
-                          PENALTY)
+from burstlab.features import (ClassificationError, burst_features,
+                               cycle_window, feature_distance, require_db,
+                               run_driven, segment_stages)
+from burstlab.fit import (FitProblem, Trial, fit_path, latin_hypercube,
+                          nelder_mead, PENALTY)
+from burstlab.model import ReducedFast
 
 
 def test_nelder_mead_quadratic():
@@ -86,17 +89,20 @@ def test_fit_smoke_and_invariants(small_problem):
         assert again.trials == result.trials
 
 
-def test_fit_penalizes_non_db(reduced, curves2, fig4_d1_trace):
-    # a box partly in the quiescent region: non-DB trials are logged with
-    # the penalty and never returned as best
+@pytest.fixture(scope="module")
+def straddling_problem(curves2, fig4_d1_trace):
+    # a box partly in the quiescent region, where paths cross no curve
     snic, ah = curves2
-    target = burst_features(fig4_d1_trace)
-    problem = FitProblem(
-        target=target,
+    return FitProblem(
+        target=burst_features(fig4_d1_trace),
         bounds={"ca_c": (-0.3, 0.2)},
         fixed={"na_c": 5.85, "d": 1.0, "ca0": -0.45, "eps": 0.004},
         params=REDUCED4D, snic=snic, ah=ah, budget=12, seed=3)
-    result = fit_path(problem, workers=1)
+
+
+def test_fit_penalizes_non_db(straddling_problem):
+    # non-DB trials are logged with the penalty and never returned as best
+    result = fit_path(straddling_problem, workers=1)
     assert any(not tr.db for tr in result.trials)
     assert all(tr.distance == PENALTY for tr in result.trials if not tr.db)
     # every trial is timed and carries its class
@@ -159,3 +165,71 @@ def test_fit_invalid_path_is_penalized(small_problem, monkeypatch):
     trial = fit._evaluate(small_problem, {"d": 1.0, "ca0": 0.0})
     assert trial.distance == PENALTY and not trial.db
     assert (trial.status, trial.sequence) == ("invalid", "error: forced")
+
+
+def _integrated_trial(problem, values):
+    """The trace of the path and the trial it scores when every path is
+    integrated and classified on its trace, whatever its crossings."""
+    trace = run_driven(ReducedFast(problem.params), problem.make_path(values),
+                       problem.snic, problem.ah, rel_tol=problem.rel_tol,
+                       abs_tol=problem.abs_tol)
+    try:
+        fv = burst_features(trace)
+    except ClassificationError as exc:
+        return trace, Trial(values=values, distance=PENALTY, db=False,
+                            sequence=str(exc), status="not_db", seconds=0.0)
+    return trace, Trial(values=values,
+                        distance=feature_distance(fv, problem.target,
+                                                  problem.weights),
+                        db=True, sequence="DB", status="db", seconds=0.0)
+
+
+def _db_error(check, *args):
+    try:
+        check(*args)
+    except ClassificationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("box", ["straddling", "small"])
+def test_path_classification_matches_integrated_trace(
+        box, straddling_problem, small_problem):
+    # on a seeded sample of a box holding DB and non-DB paths, the class
+    # read off the path's window before integrating is the class of the
+    # integrated trace, and the fit's trial is the one the trace scores
+    problem = straddling_problem if box == "straddling" else small_problem
+    statuses = set()
+    for values in latin_hypercube(problem.bounds, 8, seed=0):
+        trace, want = _integrated_trial(problem, values)
+        window = cycle_window(problem.make_path(values), problem.snic,
+                              problem.ah)
+        assert window.sequence() == trace.sequence()
+        assert _db_error(require_db, window.sequence()) == \
+            _db_error(segment_stages, trace)
+        assert fit._evaluate(problem, values) == want
+        statuses.add(want.status)
+    assert statuses == {"db", "not_db"}
+
+
+def test_non_db_trials_do_not_integrate(straddling_problem, small_problem,
+                                        monkeypatch):
+    runs = []
+    run = fit.run_driven
+
+    def counted(fast, path, *args, **kwargs):
+        runs.append(path)
+        return run(fast, path, *args, **kwargs)
+
+    monkeypatch.setattr(fit, "run_driven", counted)
+    result = fit_path(straddling_problem, workers=1)
+    assert any(not tr.db for tr in result.trials)
+    # one driven run per DB-windowed trial, in the order of the log
+    assert runs == [straddling_problem.make_path(tr.values)
+                    for tr in result.trials if tr.db]
+    runs.clear()
+    trial = fit._evaluate(small_problem, {"d": 1.2, "ca0": 0.04})
+    assert runs == []
+    assert (trial.status, trial.sequence) == \
+        ("not_db", "crossing sequence SNIC+,SNIC- is not DB")
+    assert trial.distance == PENALTY and not trial.db
