@@ -3,10 +3,12 @@
 A single Dormand-Prince 5(4) engine serves every simulation in the package.
 States are plain tuples of floats: for systems of dimension 1 to 7 this is
 considerably faster in CPython than array-based steppers, and the landscape
-sweeps need that throughput. The tableau is written once, as data, and the
-step for each dimension is generated from it on first use as straight-line
-code over local floats: CPython charges for every loop iteration and tuple
-it builds, so a step that loops over components costs about a quarter more.
+sweeps need that throughput. The tableau is written once, as data. A solve
+is generated from it on first use, per dimension, as one function: the
+accept/reject loop with the step inlined as straight-line code over local
+floats, so the state never leaves local variables and a step makes no call
+of its own. CPython charges for every call, loop iteration and tuple it
+builds, and a step that loops over components costs about a quarter more.
 Dense output uses the standard fourth-order interpolant of the pair. Events
 are localized after the solve: the test functions are evaluated at the
 accepted steps of the finished trajectory and each sign change is refined
@@ -14,21 +16,22 @@ on that step's interpolant by Brent's method, so event times do not depend
 on step-size control. Trajectory.extrema finds every extremum of v on the
 interpolant itself, as a root of v', with no sampling grid.
 
-The same generated source also serves lanes: a state that is a tuple of
-numpy arrays, one element per independent problem, advanced in lockstep by
+The stages and error norm are generated once, as source, and serve three
+functions: the solve loop (solve_source), and the single step (step_source)
+compiled for tuple states or for lanes. A lane state is a tuple of numpy
+arrays, one element per independent problem, advanced in lockstep by
 step_lanes with a step size and accept decision of its own per lane. Only
-the namespace the source is compiled in differs (TUPLES or LANES), so each
+the namespace the step is compiled in differs (TUPLES or LANES), so each
 lane does the tuple step's arithmetic in the same order.
 
 The generator takes each stage as source, by default one rhs call. An rhs
-may carry its own step as rhs.step, generated from the same source with
-other stages, and integrate then steps with it; the driven kernel of
-model.py is one, with the current balance inlined into every stage.
+may carry its own loop as rhs.solve, generated by solve_source with other
+stages, and integrate then runs it; the driven loop of model.py is one,
+with the current balance and the path forcing inlined into every stage.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -105,7 +108,7 @@ class SolverStats(NamedTuple):
 
     steps: int          # accepted steps
     rejected: int       # rejected step attempts
-    rhs_evals: int      # right-hand side evaluations
+    rhs_evals: int      # stage evaluations: rhs calls in the generic loop
 
 
 class Trajectory:
@@ -254,38 +257,119 @@ def _rhs_stage(t, k, fresh):
     return [f"{', '.join(k)}, = rhs({t}, ({z},))"]
 
 
-def step_source(dim, stage=_rhs_stage):
-    """Source lines of the Dormand-Prince step for states of dimension dim,
-    unrolled from the tableau: step(rhs, t, y, f, h, rel_tol, abs_tol) ->
-    (y_new, k_step, err), with k_step the 7 stage derivatives (f first, f at
-    y_new last) and err the RMS norm of the local error scaled by the
-    tolerances.
+def _attempt(dim, stage):
+    """Source lines of one Dormand-Prince attempt, unrolled from the
+    tableau, from the state y0, y1, ... and its derivative k0_0, k0_1, ...
+    at t with step h: the stage derivatives k1_* to k6_*, the new state z0,
+    z1, ... (k6_* is the derivative there) and err, the RMS norm of the
+    local error scaled by the tolerances.
 
-    stage(t, k, fresh) gives the source of one stage: it assigns to the
-    names k the derivative at the time expression t and the stage state
+    stage(t, k, fresh) gives the source lines of one stage: they assign to
+    the names k the derivative at the time expression t and the stage state
     z0, z1, .... fresh is False where the stage shares the time of the one
     before, as the FSAL pair's last two do (c6 = c7 = 1), so what depends
     on the time alone is still bound. The default stage calls rhs(t, z).
     """
-    def vec(fmt, **kw):
-        return ", ".join(fmt.format(i=i, **kw) for i in range(dim)) + ","
-
     comps = range(dim)
-    src = ["def step(rhs, t, y, f, h, rel_tol, abs_tol):",
-           f"    {vec('y{i}')} = y", f"    {vec('k0_{i}')} = f"]
+    src = []
     for s, (c, weights) in enumerate(zip(_C[1:], _A + (_B,)), 1):
-        src += [f"    z{i} = y{i} + {_weighted(weights, i)}" for i in comps]
-        src += ["    " + line for line in stage(
-            f"t + {c!r} * h", [f"k{s}_{i}" for i in comps], c != _C[s - 1])]
+        src += [f"z{i} = y{i} + {_weighted(weights, i)}" for i in comps]
+        src += stage(f"t + {c!r} * h", [f"k{s}_{i}" for i in comps],
+                     c != _C[s - 1])
     # square as r * r, which is correctly rounded; the C pow() behind r ** 2
     # can be 1 ulp off, and a 1-ulp err moves the step size
-    src += [f"    r{i} = {_weighted(_E, i)} / "
+    src += [f"r{i} = {_weighted(_E, i)} / "
             f"(abs_tol + rel_tol * max(abs(y{i}), abs(z{i})))" for i in comps]
     squares = " + ".join(f"r{i} * r{i}" for i in comps)
-    stages = ", ".join(f"({vec('k{s}_{i}', s=s)})" for s in range(1, 7))
-    src += [f"    return ({vec('z{i}')}), (f, {stages}), "
-            f"sqrt(({squares}) * {1.0 / dim!r})"]
-    return src
+    return src + [f"err = sqrt(({squares}) * {1.0 / dim!r})"]
+
+
+def _names(fmt, dim, stages=(0,)):
+    # fmt for every stage s and component i, as a tuple display
+    return "(" + ", ".join(fmt.format(s=s, i=i) for s in stages
+                           for i in range(dim)) + ",)"
+
+
+def _indented(lines, depth):
+    return "\n".join(" " * (4 * depth) + line for line in lines)
+
+
+def step_source(dim):
+    """Source of the Dormand-Prince step for states of dimension dim, with
+    the default stage: step(rhs, t, y, f, h, rel_tol, abs_tol) -> (y_new,
+    k_step, err), with k_step the 7 stage derivatives (f first, f at y_new
+    last) and err the RMS norm of the local error scaled by the
+    tolerances."""
+    stages = ", ".join(_names("k{s}_{i}", dim, [s]) for s in range(1, 7))
+    return (f"def step(rhs, t, y, f, h, rel_tol, abs_tol):\n"
+            f"    {_names('y{i}', dim)} = y\n"
+            f"    {_names('k0_{i}', dim)} = f\n"
+            f"{_indented(_attempt(dim, _rhs_stage), 1)}\n"
+            f"    return {_names('z{i}', dim)}, (f, {stages}), err\n")
+
+
+# integrate's accept/reject loop (Hairer, Norsett and Wanner, Solving ODEs
+# I, II.4) around the attempt, which stands in for {attempt}. max, like
+# np.fmax in step_lanes, ignores a NaN err, so a step whose rhs is not a
+# number shrinks until it underflows.
+_SOLVE = """\
+def solve(rhs, t, t1, y, f, h, h_min, max_steps, rel_tol, abs_tol):
+    {y} = y
+    {k0} = f
+    ts = [t]
+    ys = list(y)
+    ks = []
+    rejected = 0
+    while t < t1:
+        h = min(h, {max_step!r}, t1 - t)
+        if h < h_min:
+            raise StepSizeError(f"step size underflow at t = {{t:.6g}} ms", t)
+        while True:
+{attempt}
+            if err <= 1.0:
+                break
+            rejected += 1
+            h *= max({min_factor!r}, {safety!r} * err ** -0.2)
+            if h < h_min:
+                raise StepSizeError(
+                    f"step size underflow at t = {{t:.6g}} ms", t)
+        factor = {max_factor!r} if err == 0.0 else min(
+            {max_factor!r}, {safety!r} * err ** -0.2)
+        t += h
+        ts.append(t)
+        ys += {z}
+        ks += {k}
+{handover}
+        h *= factor
+        if len(ts) > max_steps:
+            raise StepSizeError(
+                f"step budget ({{max_steps}}) exceeded at t = {{t:.6g}} ms; "
+                "the problem is far stiffer than this engine expects", t)
+    return ts, ys, ks, rejected
+"""
+
+
+def solve_source(dim, stage=_rhs_stage):
+    """Source of integrate's accept/reject loop with the Dormand-Prince
+    step inlined, its stages given by stage as for _attempt: solve(rhs, t,
+    t1, y, f, h, h_min, max_steps, rel_tol, abs_tol) -> (ts, ys, ks,
+    rejected) integrates from (t, y), with f the derivative there and h the
+    first step size, to t1.
+
+    ts holds the accepted times, ys the states at them and ks each step's 7
+    stage derivatives, the last two as flat lists of floats; rejected counts
+    the rejected attempts. The state lives in local floats, and the FSAL
+    hand-over is a renaming. StepSizeError is raised when a step falls below
+    h_min, or when the accepted steps exceed max_steps.
+    """
+    return _SOLVE.format(
+        y=_names("y{i}", dim), k0=_names("k0_{i}", dim),
+        z=_names("z{i}", dim), k=_names("k{s}_{i}", dim, range(7)),
+        attempt=_indented(_attempt(dim, stage), 3),
+        handover=_indented([f"y{i} = z{i}" for i in range(dim)]
+                           + [f"k0_{i} = k6_{i}" for i in range(dim)], 2),
+        max_step=MAX_STEP, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR,
+        safety=_SAFETY)
 
 
 @functools.cache
@@ -293,9 +377,18 @@ def _dopri_step(dim, ops=TUPLES):
     """The step of step_source with the default stage, compiled for tuple
     states, or with ops=LANES for tuples of arrays, t and h per lane."""
     namespace = {"sqrt": ops.sqrt, "max": ops.maximum}
-    exec(compile("\n".join(step_source(dim)), f"<DOPRI step, dim {dim}>",
-                 "exec"), namespace)
+    exec(compile(step_source(dim), f"<DOPRI step, dim {dim}>", "exec"),
+         namespace)
     return namespace["step"]
+
+
+@functools.cache
+def _solver(dim):
+    """The loop of solve_source with the default stage, for tuple states."""
+    namespace = {"sqrt": math.sqrt, "StepSizeError": StepSizeError}
+    exec(compile(solve_source(dim), f"<DOPRI solve, dim {dim}>", "exec"),
+         namespace)
+    return namespace["solve"]
 
 
 def step_lanes(rhs, t, y, f, h, t_end, rel_tol, abs_tol):
@@ -417,14 +510,14 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
     Steps are at most MAX_STEP long, so no spike is skipped, and at most
     MAX_STEPS are accepted, which guards memory on runaway problems. The
     trajectory's stats count the accepted steps, the rejected attempts and
-    the rhs evaluations: two to start (f at t0 and the trial step of
+    the stage evaluations: two to start (f at t0 and the trial step of
     initial_step), then six per attempt, the first stage being the last
-    one of the step before.
+    one of the step before. For the generic loop each is one rhs call.
 
-    An rhs with a step attribute is stepped by that function in place of
-    the generic step for its dimension; it takes the generic step's
-    arguments and must give its results. rhs itself still gives f at t0
-    and the trial step of initial_step.
+    An rhs with a solve attribute is integrated by that function in place
+    of the generic loop for its dimension; it takes the generic loop's
+    arguments and must give its results (see solve_source). rhs itself
+    still gives f at t0 and the trial step of initial_step.
 
     Raises
     ------
@@ -444,47 +537,14 @@ def integrate(rhs: Callable, y0, t_span, rel_tol: float = 1e-8,
         raise ValueError("rhs dimension does not match the initial state")
     h = initial_step(rhs, t0, y, f, rel_tol, abs_tol)
     h_min = 1e-14 * max(abs(t0), abs(t1), t1 - t0)
-    step = getattr(rhs, "step", None) or _dopri_step(dim)
-
-    ts = [t0]
-    ys = [y]
-    ks = []
-    t = t0
-    rejected = 0
-    while t < t1:
-        h = min(h, MAX_STEP, t1 - t)
-        if h < h_min:
-            raise StepSizeError(
-                f"step size underflow at t = {t:.6g} ms", t)
-        while True:
-            y_new, k_step, err = step(rhs, t, y, f, h, rel_tol, abs_tol)
-            if err <= 1.0:
-                break
-            rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            if h < h_min:
-                raise StepSizeError(
-                    f"step size underflow at t = {t:.6g} ms", t)
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, _SAFETY * err ** -0.2)
-        t += h
-        y, f = y_new, k_step[6]
-        ts.append(t)
-        ys.append(y)
-        ks.append(k_step)
-        h *= factor
-        if len(ts) > MAX_STEPS:
-            raise StepSizeError(
-                f"step budget ({MAX_STEPS}) exceeded at t = {t:.6g} ms; "
-                "the problem is far stiffer than this engine expects", t)
-    # flat float streams, reshaped: far cheaper than np.array on nested
-    # tuples
-    n = len(ks)
-    flat = itertools.chain.from_iterable
-    ys = np.fromiter(flat(ys), float, (n + 1) * dim).reshape(n + 1, dim)
-    ks = np.fromiter(flat(flat(ks)), float, n * 7 * dim).reshape(n, 7, dim)
-    return Trajectory(np.array(ts), ys, _dense_coefficients(ks), rel_tol,
-                      abs_tol, SolverStats(n, rejected, 2 + 6 * (n + rejected)))
+    solve = getattr(rhs, "solve", None) or _solver(dim)
+    ts, ys, ks, rejected = solve(rhs, t0, t1, y, f, h, h_min, MAX_STEPS,
+                                 rel_tol, abs_tol)
+    n = len(ts) - 1
+    ks = np.array(ks, float).reshape(n, 7, dim)
+    return Trajectory(np.array(ts), np.array(ys, float).reshape(n + 1, dim),
+                      _dense_coefficients(ks), rel_tol, abs_tol,
+                      SolverStats(n, rejected, 2 + 6 * (n + rejected)))
 
 
 def sign_changes(g):

@@ -14,9 +14,10 @@ the path's rotation field), the biological slow equations for the autonomous
 models, a numpy form for the equilibrium scan, for the equilibrium branch
 that the bifurcation curves are traced on and for the lanes of a PERIOD
 field, and a complex form whose complex step gives the Jacobian. Driven runs
-step a generated kernel: the Dormand-Prince step with the balance and the
-forcing inlined into every stage, so a stage makes no rhs call. The readable
-six-current reference lives in tests/oracles.py, apart from this code.
+run a generated loop: integrate's accept/reject loop with the Dormand-Prince
+step inlined, and the balance and the forcing inlined into every stage, so
+a step makes no rhs call. The readable six-current reference lives in
+tests/oracles.py, apart from this code.
 
 State is passed as plain tuples of floats, which is the fastest
 representation for systems of this size.
@@ -32,7 +33,7 @@ import textwrap
 import numpy as np
 from scipy.special import expit
 
-from .integrate import step_source
+from .integrate import StepSizeError, solve_source
 from .params import ModelParams, InvalidParameterError
 
 
@@ -102,11 +103,11 @@ _FORMS = {
 }
 
 
-def _compile(src: str, form: str, name: str):
+def _compile(src: str, form: str, name: str, **names):
     """The function name that src defines, compiled in the namespace of
-    form."""
+    form and the given names."""
     tree = ast.parse(src)
-    namespace = dict(_FORMS[form], phi=phi)
+    namespace = dict(_FORMS[form], phi=phi, **names)
     if "sig" not in namespace:
         tree = ast.fix_missing_locations(_InlineSig().visit(tree))
     exec(compile(tree, f"<{name}, {form}>", "exec"), namespace)
@@ -160,8 +161,8 @@ def s_slaved(v: float, p: ModelParams) -> float:
 # form (_maker); parameters bind per call of make, so a new parameter set
 # costs a closure, not a compile. The forms: tuples of floats, with sig
 # inline as _SIG and math.cosh; numpy arrays, with _sig_array and np.cosh;
-# complex numbers for the Jacobian, with _csig and cmath.cosh. _driven_step
-# inlines the function bodies into the stages of a Dormand-Prince step. The
+# complex numbers for the Jacobian, with _csig and cmath.cosh. _driven_solver
+# inlines the function bodies into the stages of integrate's loop. The
 # operation order in these sources fixes driven and autonomous runs to the
 # last digit; reordering it changes every stored trace.
 
@@ -270,12 +271,13 @@ def _inline(src: str, args, results):
 
 
 @functools.cache
-def _driven_step(balance: str):
-    """The fused Dormand-Prince step of a fast subsystem driven along a path,
-    compiled once per balance: make(p, point) -> step(rhs, t, y, f, h,
-    rel_tol, abs_tol), like integrate's generic step, which it matches bit
-    for bit. Each stage inlines the balance; each distinct stage time
-    inlines the forcing, _SLOW_CURRENTS at point(t). rhs is not called."""
+def _driven_solver(balance: str):
+    """integrate's loop for a fast subsystem driven along a path, compiled
+    once per balance: make(p, point) -> solve(rhs, t, t1, y, f, h, h_min,
+    max_steps, rel_tol, abs_tol), like integrate's generic loop, which it
+    matches bit for bit. Each stage inlines the balance; each distinct stage
+    time inlines the forcing, _SLOW_CURRENTS at point(t). rhs is not
+    called."""
     args = _parts(balance)[1]
     dim = len(args) - 2
     forcing = args[dim:]
@@ -288,11 +290,12 @@ def _driven_step(balance: str):
             lines += _inline(_SLOW_CURRENTS, ["ca", "na"], forcing)
         return lines + _inline(balance, z + forcing, k)
 
-    prelude = [ast.unparse(stmt) for src in (_SLOW_CURRENTS, balance)
-               for stmt in _parts(src)[0]]
-    body = textwrap.indent("\n".join(prelude + step_source(dim, stage)), "    ")
-    return _compile(f"def make(p, point):\n{body}\n    return step\n",
-                    "tuple", "make")
+    prelude = "".join(ast.unparse(stmt) + "\n"
+                      for src in (_SLOW_CURRENTS, balance)
+                      for stmt in _parts(src)[0])
+    body = textwrap.indent(prelude + solve_source(dim, stage), "    ")
+    return _compile(f"def make(p, point):\n{body}\n    return solve\n",
+                    "tuple", "make", StepSizeError=StepSizeError)
 
 
 def can_calcium(a_can, p: ModelParams):
@@ -340,10 +343,10 @@ class _FastSubsystem:
         """rhs(t, y) of the fast state alone, with (Ca, Na) the path's
         closed form at time t. This is what run_driven integrates.
 
-        The rhs carries its fused step as rhs.step, which integrate takes in
+        The rhs carries its fused loop as rhs.solve, which integrate runs in
         place of its generic one: the balance and the forcing inlined into
         every stage, the forcing evaluated once per distinct stage time. It
-        gives the generic step's bits, so a wrapped rhs, which loses the
+        gives the generic loop's bits, so a wrapped rhs, which loses the
         attribute, integrates to the same trajectory.
         """
         core, slow_currents = self._core, self._slow_currents
@@ -352,7 +355,7 @@ class _FastSubsystem:
         def rhs(t, y):
             return core(*y, *slow_currents(*point(t)))
 
-        rhs.step = _driven_step(self._balance)(self.params, point)
+        rhs.solve = _driven_solver(self._balance)(self.params, point)
         return rhs
 
     def lane_rhs(self, slows):

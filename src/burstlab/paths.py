@@ -7,9 +7,9 @@ views agree and the quadratic form Q below is conserved along the flow.
 The closed form is written once, as the function EllipsePath.closed_form
 returns over the path's constants; EllipsePath.point evaluates it at one
 time. Driven runs use the closed form: they integrate only the fast
-variables, and the fused step of the driven kernel (model.py) calls a
-closed_form function taken once per run at each distinct stage time, so it
-reads no path attribute. The rotation field remains for the full-state
+variables, and the driven loop (model.py) calls a closed_form function
+taken once per run at each distinct stage time, so it reads no path
+attribute. The rotation field remains for the full-state
 driven rhs of the fast subsystems, and it gives the path's velocity at any
 point.
 """

@@ -243,18 +243,19 @@ def test_driven_slow_columns_follow_the_path(name, request):
     ("fig4_d1_trace", ReducedFast, REDUCED4D, "curves2"),
     ("fig3_d2_trace", FullFast, FULL7D, "curves5")])
 def test_fused_step_is_the_generic_step(name, cls, params, curves, request):
-    # run_driven steps path_rhs's fused kernel; the same run with the rhs
-    # wrapped in a lambda, which carries no kernel, takes integrate's
-    # generic step and must give the same bits
+    # run_driven runs path_rhs's fused loop; the same run with the rhs
+    # wrapped in a lambda, which carries no loop, takes integrate's generic
+    # loop and must give the same bits
     trace = request.getfixturevalue(name)
     fast = cls(params)
     path_rhs = fast.path_rhs
-    assert callable(path_rhs(trace.path).step)
+    assert callable(path_rhs(trace.path).solve)
     fast.path_rhs = lambda path: (lambda t, y, rhs=path_rhs(path): rhs(t, y))
     generic = run_driven(fast, trace.path, *request.getfixturevalue(curves))
     for attr in ("ts", "ys", "_dense"):
         assert np.array_equal(getattr(generic.trajectory, attr),
                               getattr(trace.trajectory, attr)), attr
+    assert generic.trajectory.stats == trace.trajectory.stats
     assert generic.spikes == trace.spikes
 
 

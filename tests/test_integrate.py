@@ -8,7 +8,9 @@ from oracles import dopri_step, rk4
 
 import burstlab
 from burstlab import EllipsePath, StepSizeError, detect_events
-from burstlab.integrate import (LANES, SolverStats, Trajectory, _dopri_step,
+import burstlab.integrate as integrate_module
+from burstlab.integrate import (LANES, MAX_STEPS, SolverStats, Trajectory,
+                                _dense_coefficients, _dopri_step, _solver,
                                 initial_step, integrate, lane_crossings,
                                 step_lanes)
 
@@ -224,7 +226,9 @@ def _step_cases(reduced, full):
         # a lambda carries no fused step: path_rhs by the generic step
         ("path_rhs 2D", lambda t, y: forced2(t, y), (-50.0, 0.1), 2.0),
         ("path_rhs 5D", lambda t, y: forced5(t, y), full.slaved(-40.0), 0.5),
-        ("driven kernel 2D", forced2, (-50.0, 0.1), 2.0),
+        # the driven kernels take one step of their loop, which clips h to
+        # MAX_STEP
+        ("driven kernel 2D", forced2, (-50.0, 0.1), 1.0),
         ("driven kernel 5D", forced5, full.slaved(-40.0), 0.5),
         ("autonomous 4D", reduced.autonomous_rhs(),
          reduced.slaved(-40.0) + (0.1, 5.0), 0.5),
@@ -238,43 +242,139 @@ def _step_cases(reduced, full):
     return cases
 
 
+def _one_solve_step(rhs, t, y, f, h):
+    # the first step of rhs.solve over [t, t + h], accepted whatever its
+    # error under tolerances too loose to reject it: (y_new, k_step)
+    ts, ys, ks, _ = rhs.solve(rhs, t, t + h, y, f, h, 0.0, MAX_STEPS,
+                              1e300, 1e300)
+    assert ts == [t, t + h]
+    return ys[len(y):], np.reshape(ks, (7, len(y)))
+
+
 def test_generated_step_matches_reference_tableau(reduced, full):
-    # one unrolled step per dimension 1-7, and the fused steps of the driven
-    # kernels, against the numpy step built on scipy's RK45 tableau: checks
-    # the transcription and the generators
+    # one unrolled step per dimension 1-7, and one step of the driven
+    # kernels' loops, against the numpy step built on scipy's RK45 tableau:
+    # checks the transcription and the generators. The driven loops give no
+    # err; their error norm is the generic step's source, and
+    # test_fused_step_is_the_generic_step (test_features.py) checks every
+    # accept decision of theirs against the generic loop
     dims = set()
     for name, rhs, y, h in _step_cases(reduced, full):
         t, y = 120.0, tuple(float(v) for v in y)
         f = tuple(rhs(t, y))
-        step = getattr(rhs, "step", None) or _dopri_step(len(y))
-        y_new, k_step, err = step(rhs, t, y, f, h, 1e-6, 1e-8)
         y_ref, k_ref, err_ref = dopri_step(rhs, t, y, f, h, 1e-6, 1e-8)
+        if hasattr(rhs, "solve"):
+            y_new, k_step = _one_solve_step(rhs, t, y, f, h)
+        else:
+            y_new, k_step, err = _dopri_step(len(y))(rhs, t, y, f, h, 1e-6,
+                                                     1e-8)
+            assert err == pytest.approx(err_ref, rel=1e-12, abs=0), name
         np.testing.assert_allclose(y_new, y_ref, rtol=1e-13, atol=0, err_msg=name)
         np.testing.assert_allclose(np.array(k_step), k_ref, rtol=1e-13,
                                    atol=0, err_msg=name)
-        assert err == pytest.approx(err_ref, rel=1e-12, abs=0), name
         dims.add(len(y))
     assert dims == set(range(1, 8))
 
 
+def _stepwise(rhs, y0, t_span, rel_tol=1e-8, abs_tol=1e-8):
+    # integrate's accept/reject control written out by hand around one
+    # _dopri_step call per attempt: the reference for the generated loop
+    m = integrate_module
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = tuple(float(v) for v in y0)
+    f = tuple(rhs(t0, y))
+    h = initial_step(rhs, t0, y, f, rel_tol, abs_tol)
+    h_min = 1e-14 * max(abs(t0), abs(t1), t1 - t0)
+    step = _dopri_step(len(y))
+    ts, ys, ks = [t0], [y], []
+    t, rejected = t0, 0
+    while t < t1:
+        h = min(h, m.MAX_STEP, t1 - t)
+        if h < h_min:
+            raise StepSizeError(f"step size underflow at t = {t:.6g} ms", t)
+        while True:
+            y_new, k_step, err = step(rhs, t, y, f, h, rel_tol, abs_tol)
+            if err <= 1.0:
+                break
+            rejected += 1
+            h *= max(m._MIN_FACTOR, m._SAFETY * err ** -0.2)
+            if h < h_min:
+                raise StepSizeError(
+                    f"step size underflow at t = {t:.6g} ms", t)
+        factor = m._MAX_FACTOR if err == 0.0 else min(
+            m._MAX_FACTOR, m._SAFETY * err ** -0.2)
+        t += h
+        y, f = y_new, k_step[6]
+        ts.append(t)
+        ys.append(y)
+        ks.append(k_step)
+        h *= factor
+        if len(ts) > m.MAX_STEPS:
+            raise StepSizeError(
+                f"step budget ({m.MAX_STEPS}) exceeded at t = {t:.6g} ms; "
+                "the problem is far stiffer than this engine expects", t)
+    n = len(ks)
+    return Trajectory(np.array(ts), np.array(ys), _dense_coefficients(
+        np.array(ks)), rel_tol, abs_tol,
+        SolverStats(n, rejected, 2 + 6 * (n + rejected)))
+
+
+def _nan_after(t, y):
+    # van der Pol, not a number from t = 3 on
+    return (math.nan, math.nan) if t >= 3.0 else _van_der_pol(t, y)
+
+
+def test_generated_loop_is_the_stepwise_control(reduced, curves2,
+                                                monkeypatch):
+    snic, ah = curves2
+    between = (0.5 * (snic.ca_at(5.2) + ah.ca_at(5.2)), 5.2)
+    period_tols = dict(rel_tol=1e-6, abs_tol=1e-8)     # orbit_period's
+    cases = [
+        (_van_der_pol, (2.0, 0.0), (0.0, 30.0), {}),
+        (reduced.frozen_rhs(between), reduced.slaved(-20.0), (0.0, 500.0),
+         period_tols),
+        (reduced.autonomous_rhs(), reduced.slaved(-40.0) + (0.1, 5.0),
+         (0.0, 300.0), {}),
+    ]
+    for rhs, y0, span, tols in cases:
+        want = _stepwise(rhs, y0, span, **tols)
+        got = integrate(rhs, y0, span, **tols)
+        for attr in ("ts", "ys", "_dense"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert got.stats == want.stats and want.stats.rejected > 0
+    # the failures: a NaN err shrinks the step until it underflows, and an
+    # exhausted budget stops the loop, with the same message and time
+    for rhs, budget, what in ((_nan_after, MAX_STEPS, "underflow"),
+                              (_van_der_pol, 50, "budget (50)")):
+        monkeypatch.setattr(integrate_module, "MAX_STEPS", budget)
+        with pytest.raises(StepSizeError) as want:
+            _stepwise(rhs, (2.0, 0.0), (0.0, 30.0))
+        with pytest.raises(StepSizeError) as got:
+            integrate(rhs, (2.0, 0.0), (0.0, 30.0))
+        assert what in str(want.value)
+        assert str(got.value) == str(want.value)
+        assert got.value.t_last == want.value.t_last
+
+
 def test_integrate_takes_the_step_an_rhs_carries():
-    # integrate steps with rhs.step where the rhs has one, and gets the
-    # generic step's trajectory when that step is the generic one
+    # integrate runs rhs.solve where the rhs has one, and gets the generic
+    # loop's trajectory when that loop is the generic one
     calls = []
 
-    def step(*args):
+    def solve(*args):
         calls.append(args[1])
-        return _dopri_step(2)(*args)
+        return _solver(2)(*args)
 
     def rhs(t, y):
         return _van_der_pol(t, y)
 
     plain = integrate(rhs, (2.0, 0.0), (0.0, 5.0))
-    rhs.step = step
+    rhs.solve = solve
     carried = integrate(rhs, (2.0, 0.0), (0.0, 5.0))
-    assert len(calls) >= len(carried.ts) - 1
-    assert np.array_equal(carried.ys, plain.ys)
-    assert np.array_equal(carried._dense, plain._dense)
+    assert calls == [0.0]
+    for attr in ("ts", "ys", "_dense"):
+        assert np.array_equal(getattr(carried, attr), getattr(plain, attr))
+    assert carried.stats == plain.stats
 
 
 def _van_der_pol(t, y):
