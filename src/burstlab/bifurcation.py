@@ -44,7 +44,11 @@ _V_TOL = 1e-13          # mV, Brent tolerance of every equilibrium voltage
 _HOPF_SAMPLES = 17      # Re(lambda) samples along the depolarized branch
 
 DEFAULT_NA_RANGE = (4.8, 6.4)
-DEFAULT_CA_WINDOW = (-0.2, 1.6)
+DEFAULT_CA_WINDOW = (-0.2, 1.6)     # Ca range searched for curve points
+
+SNIC_OFFSETS = (8e-3, 4e-3, 2e-3, 1e-3)     # Ca offsets of verify_snic
+SNIC_T_MEASURE = 6000.0     # ms, its orbit_period window
+SNIC_PERIOD_MIN = 100.0     # ms, its least largest period
 
 
 class ContinuationError(RuntimeError):
@@ -258,8 +262,8 @@ def read_curves(path) -> dict:
     return out
 
 
-def _fold_point(fast, na: float, ca_window) -> Optional[tuple]:
-    """(v, Ca) of the fold at this Na, or None if it is not in the window.
+def _fold_point(fast, na: float) -> Optional[tuple]:
+    """(v, Ca) of the fold at this Na, or None outside DEFAULT_CA_WINDOW.
 
     The fold is the hyperpolarized local maximum of the equilibrium branch
     a(v): the CAN conductance above which the lower two of the three
@@ -281,15 +285,15 @@ def _fold_point(fast, na: float, ca_window) -> Optional[tuple]:
     v = brentq(det, _V_GRID[i - 1], _V_GRID[i + 1], xtol=_V_TOL)
     a_fold = fast.can_branch(v, na)
     a_lo, a_hi = sorted(fast.params.g_can * can_activation(ca, fast.params)
-                        for ca in ca_window)
+                        for ca in DEFAULT_CA_WINDOW)
     if not a_lo <= a_fold <= a_hi:
         return None
     return v, float(can_calcium(a_fold, fast.params))
 
 
-def _hopf_point(fast, na: float, ca_window) -> Optional[tuple]:
+def _hopf_point(fast, na: float) -> Optional[tuple]:
     """(v, Ca) of the Hopf point at this Na, or None if there is none in
-    the window.
+    DEFAULT_CA_WINDOW.
 
     The depolarized equilibria over the window form one branch of a(v),
     between the depolarized equilibria at the window's two ends, along
@@ -298,7 +302,7 @@ def _hopf_point(fast, na: float, ca_window) -> Optional[tuple]:
     (the branch spans under 1 mV) that the search runs in v, not in Ca.
     """
     ends = []
-    for ca in ca_window:
+    for ca in DEFAULT_CA_WINDOW:
         brackets = _root_brackets(fast, (ca, na))
         if not brackets:
             return None
@@ -318,8 +322,7 @@ def _hopf_point(fast, na: float, ca_window) -> Optional[tuple]:
     return v, float(can_calcium(fast.can_branch(v, na), fast.params))
 
 
-def _trace(kind: str, locate, fast, na_range, step: float,
-           ca_window) -> BifCurve:
+def _trace(kind: str, locate, fast, na_range, step: float) -> BifCurve:
     """Locate a curve point at each node of the Na grid, independently.
 
     Nodes without a point before the first one found are skipped and flag
@@ -331,7 +334,7 @@ def _trace(kind: str, locate, fast, na_range, step: float,
     pts = []
     truncated_low = False
     for na in np.arange(na_lo, na_hi + 0.5 * step, step):
-        point = locate(fast, na, ca_window)
+        point = locate(fast, na)
         if point is None:
             if pts:
                 log.info("%s lost at Na=%.4g; truncating", kind, na)
@@ -356,8 +359,8 @@ def _trace(kind: str, locate, fast, na_range, step: float,
                     truncated_high=pts[-1][0] < na_hi - 0.5 * step)
 
 
-def trace_fold_curve(fast, na_range=DEFAULT_NA_RANGE, step: float = 0.01,
-                     ca_window=DEFAULT_CA_WINDOW) -> BifCurve:
+def trace_fold_curve(fast, na_range=DEFAULT_NA_RANGE,
+                     step: float = 0.01) -> BifCurve:
     """Trace the fold (SNIC candidate) curve as a graph over Na.
 
     Each Na node is solved on its own, as the hyperpolarized maximum of the
@@ -366,18 +369,18 @@ def trace_fold_curve(fast, na_range=DEFAULT_NA_RANGE, step: float = 0.01,
     leaves the Ca window or no longer exists (the three-equilibria wedge
     closes at low Na).
     """
-    return _trace("SNIC", _fold_point, fast, na_range, step, ca_window)
+    return _trace("SNIC", _fold_point, fast, na_range, step)
 
 
-def trace_hopf_curve(fast, na_range=DEFAULT_NA_RANGE, step: float = 0.01,
-                     ca_window=DEFAULT_CA_WINDOW) -> BifCurve:
+def trace_hopf_curve(fast, na_range=DEFAULT_NA_RANGE,
+                     step: float = 0.01) -> BifCurve:
     """Trace the Andronov-Hopf curve as a graph over Na.
 
     Each Na node is solved on its own, as the first sign change of Re of
     the complex pair along the depolarized branch of a(v); the residual
     column is |Re| there. Truncates where no sign change lies in the window.
     """
-    return _trace("AH", _hopf_point, fast, na_range, step, ca_window)
+    return _trace("AH", _hopf_point, fast, na_range, step)
 
 
 @dataclass(frozen=True)
@@ -389,32 +392,27 @@ class SnicCheck:
     reason: str = ""
 
 
-def verify_snic(fast, fold_point, offsets=(8e-3, 4e-3, 2e-3, 1e-3),
-                period_min: float = 100.0, t_measure: float = 6000.0,
-                rel_tol: float = 1e-6) -> SnicCheck:
+def verify_snic(fast, fold_point) -> SnicCheck:
     """Check the invariant-cycle property of a fold point.
 
-    Measures the attracting-orbit period at small Ca offsets on the
+    Measures the attracting-orbit period at the SNIC_OFFSETS in Ca on the
     periodic-orbit side of the fold; returns ok only when the periods grow
-    monotonically toward the fold and the largest exceeds period_min, the
-    infinite-period signature of a SNIC.
+    monotonically toward the fold and the largest exceeds SNIC_PERIOD_MIN,
+    the infinite-period signature of a SNIC.
     """
     from .landscape import orbit_period
 
     ca0, na0 = fold_point
     periods = []
-    for off in offsets:
-        p = orbit_period(fast, (ca0 + off, na0), t_measure=t_measure,
-                         rel_tol=rel_tol)
+    for off in SNIC_OFFSETS:
+        p = orbit_period(fast, (ca0 + off, na0), t_measure=SNIC_T_MEASURE)
         if p is None:
             return SnicCheck(ok=False, periods=tuple(periods),
                              reason=f"no periodic orbit at offset {off:g}")
         periods.append(p)
-    increasing = all(b > a for a, b in zip(periods, periods[1:]))
-    if not increasing:
-        return SnicCheck(ok=False, periods=tuple(periods),
-                         reason="periods not monotone toward the fold")
-    if periods[-1] <= period_min:
-        return SnicCheck(ok=False, periods=tuple(periods),
-                         reason=f"max period {periods[-1]:.3g} <= {period_min:g}")
-    return SnicCheck(ok=True, periods=tuple(periods))
+    reason = ""
+    if not all(b > a for a, b in zip(periods, periods[1:])):
+        reason = "periods not monotone toward the fold"
+    elif periods[-1] <= SNIC_PERIOD_MIN:
+        reason = f"max period {periods[-1]:.3g} <= {SNIC_PERIOD_MIN:g}"
+    return SnicCheck(ok=not reason, periods=tuple(periods), reason=reason)

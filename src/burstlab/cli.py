@@ -35,7 +35,7 @@ _SIM_KEYS = tuple(f"path.{k}" for k in PATH_KEYS) + (
 _FIT_KEYS = tuple(f"path.{k}" for k in PATH_KEYS) + (
     "fit.model", "fit.target", "fit.budget", "fit.seed", "fit.free",
     "fit.rel_tol", "fit.abs_tol",
-) + tuple(f"fit.bounds.{k}" for k in PATH_KEYS) \
+) + tuple(f"fit.bounds.{k}" for k in PATH_PARAMS) \
   + tuple(f"fit.weights.{k}" for k in DEFAULT_WEIGHTS)
 
 
@@ -220,27 +220,32 @@ def cmd_landscape(args) -> int:
     parts = args.window.split(":")
     if len(parts) != 4:
         raise UsageError("window must be ca0:ca1:na0:na1")
+    kind = PERIOD if args.kind == "period" else RE_LAMBDA
+    levels = figures.PERIOD_LEVELS if kind == PERIOD else figures.RE_LEVELS
     try:
         ca0, ca1, na0, na1 = (float(x) for x in parts)
         n_ca, n_na = (int(x) for x in args.grid.lower().split("x"))
-    except ValueError:
-        raise UsageError("bad window or grid") from None
-    grid = GridSpec(ca0, ca1, na0, na1, n_ca, n_na)
-    kind = PERIOD if args.kind == "period" else RE_LAMBDA
+        grid = GridSpec(ca0, ca1, na0, na1, n_ca, n_na)
+        if args.levels:
+            levels = [float(x) for x in args.levels.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad window, grid or levels: {exc}") from None
     field = build_field(kind, grid, fast)
     field.to_csv(args.field_out)
     print(f"wrote {args.field_out}")
-    if args.levels:
-        levels = [float(x) for x in args.levels.split(",")]
-    elif kind == RE_LAMBDA:
-        levels = list(figures.RE_LEVELS)
-    else:
-        levels = list(figures.PERIOD_LEVELS)
-    contours = extract_contours(field, levels)
+    try:
+        contours = extract_contours(field, levels)
+    except ValueError as exc:       # fewer than 4 defined nodes
+        status = field.status if kind == PERIOD else np.where(
+            field.defined_mask(), "defined", "undefined")
+        counts = zip(*np.unique(status, return_counts=True))
+        print(f"numerical failure: {exc}; nodes: "
+              + ", ".join(f"{n} {c}" for n, c in counts), file=sys.stderr)
+        return EXIT_NUMERICAL
     contours.to_csv(args.contours_out)
     print(f"wrote {args.contours_out}")
     if args.svg_out:
-        canvas = svg.SvgCanvas(ca0, ca1, na0, na1, "Ca (uM)", "Na (mM)")
+        canvas = svg.SvgCanvas(ca0, ca1, na0, na1)
         for level in contours.levels:
             for poly in contours.polylines.get(level, []):
                 canvas.polyline(poly[:, 0], poly[:, 1],
@@ -292,9 +297,16 @@ def cmd_fit(args) -> int:
     target_path = cfg.get("fit.target", "")
     if not target_path:
         raise UsageError("fit.target (a features CSV) is required")
+    free = [k.strip() for k in cfg.get("fit.free", "d,ca0").split(",") if k.strip()]
+    unknown = sorted(set(free) - set(PATH_PARAMS))
+    if unknown:
+        raise UsageError(f"fit.free: {', '.join(unknown)} not among "
+                         f"{', '.join(PATH_PARAMS)}")
+    if "path.na0" in cfg and (get_float(cfg, "path.na0")
+                              != get_float(cfg, "path.na_c")):
+        raise UsageError("path.na0 must equal path.na_c: fitted paths are centred")
     target = FeatureVector.from_csv(target_path)
     snic, ah = _curves(args.curves, fast)
-    free = [k.strip() for k in cfg.get("fit.free", "d,ca0").split(",") if k.strip()]
     bounds = {}
     fixed = {}
     for key in PATH_PARAMS:

@@ -33,6 +33,8 @@ log = logging.getLogger(__name__)
 SPIKE_THRESHOLD = -20.0     # mV; spike peaks separate cleanly from
 SPIKE_REFRACTORY = 2.0      # subthreshold oscillation above this level
 ENVELOPE_MARGIN = 5.0       # mV; the (iii)/(iv) split, see segment_stages
+AUTONOMOUS_SLOW0 = (0.1, 5.0)   # (Ca, Na) an autonomous run starts from
+DEBOUNCE_DEPTH = 0.14       # of the SNIC-AH separation, see run_autonomous
 _LABELS = ("SNIC", "AH")
 
 
@@ -198,8 +200,8 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
     The slow pair follows the path in closed form, so the window and its
     SNIC and AH crossings come from cycle_window, before any integration.
     One integration of the fast variables alone, from the rest state at
-    the path's initial point, runs to the window end, stepped by the fused
-    kernel of fast.path_rhs, which reads (Ca, Na) from the path's
+    the path's initial point, runs to the window end, stepped by the driven
+    loop fast.path_rhs(path).solve, which reads (Ca, Na) from the path's
     closed_form function; the path's (Ca, Na) is then appended as the last
     two columns of the trajectory. Any path runs, DB or not.
     """
@@ -221,40 +223,37 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
         start_fallback=window.fallback)
 
 
-def _autonomous_run(fast, snic, ah, t_transient, t_budget, rel_tol, abs_tol,
-                    seed=None, slow0=(0.1, 5.0)):
+def _autonomous_run(fast, snic, ah, t_transient, t_budget, rel_tol, abs_tol):
     """The autonomous model past a warm-up of t_transient ms, with every curve
-    crossing of the next t_budget ms: (Trajectory, events). Without a seed
-    the run starts from the gates slaved at -60 mV and (Ca, Na) = slow0."""
+    crossing of the next t_budget ms: (Trajectory, events). The run starts
+    from the gates slaved at -60 mV and (Ca, Na) = AUTONOMOUS_SLOW0."""
     rhs = fast.autonomous_rhs()
-    if seed is None:
-        seed = fast.slaved(-60.0) + tuple(slow0)
-    warm = integrate(rhs, seed, (0.0, t_transient), rel_tol=rel_tol,
-                     abs_tol=abs_tol)
+    warm = integrate(rhs, fast.slaved(-60.0) + AUTONOMOUS_SLOW0,
+                     (0.0, t_transient), rel_tol=rel_tol, abs_tol=abs_tol)
     fns, labels = crossing_events(snic, ah)
     return detect_events(rhs, tuple(warm.ys[-1]),
                          (t_transient, t_transient + t_budget), fns,
                          rel_tol=rel_tol, abs_tol=abs_tol, labels=labels)
 
 
-def run_autonomous(fast, snic: BifCurve, ah: BifCurve, seed=None,
+def run_autonomous(fast, snic: BifCurve, ah: BifCurve,
                    t_transient: float = 2000.0, t_budget: float = 8000.0,
-                   rel_tol: float = 1e-8, abs_tol: float = 1e-8,
-                   slow0=(0.1, 5.0), depth_frac: float = 0.14) -> BurstTrace:
-    """Simulate the autonomous model and cut out one full burst cycle.
+                   rel_tol: float = 1e-8, abs_tol: float = 1e-8) -> BurstTrace:
+    """Simulate the autonomous model from (Ca, Na) = AUTONOMOUS_SLOW0, gates
+    slaved at -60 mV, and cut out one full burst cycle.
 
     The biological slow variables wobble with every spike, so the orbit can
     dance back and forth across a curve near a genuine crossing. Crossing
-    pairs whose excursion beyond the curve stays shallower than depth_frac
-    times the local SNIC-AH separation are cancelled before the cycle is
-    selected; genuine stage dwells reach beyond that in both models while
-    spike wobbles stay under a tenth of the separation. The window then
-    runs between two consecutive surviving upward SNIC crossings and the
-    measured recurrence time is the burst period.
+    pairs whose excursion beyond the curve stays shallower than
+    DEBOUNCE_DEPTH times the local SNIC-AH separation are cancelled before
+    the cycle is selected; genuine stage dwells reach beyond that in both
+    models while spike wobbles stay under a tenth of the separation. The
+    window then runs between two consecutive surviving upward SNIC
+    crossings and the measured recurrence time is the burst period.
     """
     traj, events = _autonomous_run(fast, snic, ah, t_transient, t_budget,
-                                   rel_tol, abs_tol, seed, slow0)
-    events = _debounce_events(events, traj, snic, ah, depth_frac)
+                                   rel_tol, abs_tol)
+    events = _debounce_events(events, traj, snic, ah)
     snic_ups = [e.t for e in events if e.label == "SNIC" and e.direction > 0]
     if len(snic_ups) < 2:
         raise ClassificationError(
@@ -268,7 +267,7 @@ def run_autonomous(fast, snic: BifCurve, ah: BifCurve, seed=None,
         model=f"autonomous-{fast.name}")
 
 
-def _debounce_events(events, traj, snic, ah, depth_frac: float):
+def _debounce_events(events, traj, snic, ah):
     """Drop adjacent same-curve crossing pairs with shallow excursions."""
     curves = {"SNIC": snic, "AH": ah}
     evs = list(events)
@@ -286,7 +285,7 @@ def _debounce_events(events, traj, snic, ah, depth_frac: float):
                         for ca, na in zip(ys[:, -2], ys[:, -1]))
             mid_na = 0.5 * (a.y[-1] + b.y[-1])
             sep = ah.ca_at(mid_na) - snic.ca_at(mid_na)
-            if depth < depth_frac * abs(sep):
+            if depth < DEBOUNCE_DEPTH * abs(sep):
                 del evs[i + 1]
                 del evs[i]
                 changed = True

@@ -35,13 +35,14 @@ class FigurePreset:
     field_kind: Optional[str] = None
     window: Optional[GridSpec] = None
     levels: tuple = ()
-    transient: float = 3000.0   # autonomous presets
-    budget: float = 9000.0
 
 
 def _paths(ca_c, na_c, ca0, eps, ds):
     return tuple(EllipsePath.centered(ca_c, na_c, d, ca0, eps) for d in ds)
 
+
+AUTONOMOUS_TRANSIENT = 3000.0   # ms of warm-up, then of run, of fig1 and fig2
+AUTONOMOUS_BUDGET = 9000.0
 
 FIG6_WINDOW = GridSpec(-0.1, 0.45, 4.8, 5.8, 121, 121)
 FIG7_WINDOW = GridSpec(0.0, 0.5, 4.8, 6.4, 121, 121)
@@ -126,13 +127,12 @@ def run_figure(name: str, outdir, rel_tol: float = 1e-8,
             traces.append((label, tr))
     else:
         try:
-            tr = run_autonomous(fast, snic, ah, t_transient=preset.transient,
-                                t_budget=preset.budget, rel_tol=rel_tol,
-                                abs_tol=abs_tol)
+            tr = run_autonomous(fast, snic, ah, AUTONOMOUS_TRANSIENT,
+                                AUTONOMOUS_BUDGET, rel_tol, abs_tol)
         except ClassificationError:
             # no clean cycle (e.g. the reduced model dances across AH);
             # fall back to a raw window so the artifacts still get written
-            tr = _autonomous_raw(fast, snic, ah, preset, rel_tol, abs_tol)
+            tr = _autonomous_raw(fast, snic, ah, rel_tol, abs_tol)
         traces.append((preset.model, tr))
 
     canvas = _overlay_canvas(preset, snic, ah, traces)
@@ -179,9 +179,9 @@ def _state_columns(model: str):
     return ["v", "n", "m", "h", "s", "Ca", "Na"]
 
 
-def _autonomous_raw(fast, snic, ah, preset, rel_tol, abs_tol):
-    traj, events = _autonomous_run(fast, snic, ah, preset.transient,
-                                   preset.budget, rel_tol, abs_tol)
+def _autonomous_raw(fast, snic, ah, rel_tol, abs_tol):
+    traj, events = _autonomous_run(fast, snic, ah, AUTONOMOUS_TRANSIENT,
+                                   AUTONOMOUS_BUDGET, rel_tol, abs_tol)
     return BurstTrace(trajectory=traj, t_start=traj.t0, t_end=traj.t1,
                       period=traj.t1 - traj.t0, events=tuple(events),
                       spikes=_spikes_in_window(traj, traj.t0, traj.t1),
@@ -203,7 +203,7 @@ def _overlay_canvas(preset, snic, ah, traces):
         pad_y = 0.05 * (max(all_na) - min(all_na))
         x0, x1 = min(all_ca) - pad_x, max(all_ca) + pad_x
         y0, y1 = min(all_na) - pad_y, max(all_na) + pad_y
-    canvas = svg.SvgCanvas(x0, x1, y0, y1, x_label="Ca (uM)", y_label="Na (mM)")
+    canvas = svg.SvgCanvas(x0, x1, y0, y1)
     canvas.polyline(snic.ca, snic.na, color=svg.CURVE_COLOR, width=2.0)
     canvas.polyline(ah.ca, ah.na, color=svg.CURVE_COLOR, width=2.0)
     canvas.text(float(snic.ca[-1]), float(snic.na[-1]), "SNIC")

@@ -28,6 +28,7 @@ from .params import InvalidParameterError, ModelParams
 from .paths import EllipsePath
 
 PENALTY = 1e6
+INIT_SCALE = 0.1    # Nelder-Mead's first simplex step, of the box width
 
 PATH_PARAMS = ("ca_c", "na_c", "d", "ca0", "eps")
 
@@ -165,13 +166,12 @@ def latin_hypercube(bounds: dict, n: int, seed: int):
     return [{name: columns[name][i] for name in names} for i in range(n)]
 
 
-def nelder_mead(f, x0, bounds, max_evals: int, init_scale: float = 0.1,
-                f0: Optional[float] = None):
+def nelder_mead(f, x0, bounds, max_evals: int, f0: Optional[float] = None):
     """Bounded Nelder-Mead minimization of f over parameter dicts.
 
     Points are clipped into the box before evaluation, so the simplex cannot
     leave it. Deterministic: the initial simplex steps each coordinate by
-    init_scale of its box width. Returns (best_x, best_f, n_evals).
+    INIT_SCALE of its box width. Returns (best_x, best_f, n_evals).
     """
     names = sorted(x0)
     lo = [bounds[n][0] for n in names]
@@ -193,7 +193,7 @@ def nelder_mead(f, x0, bounds, max_evals: int, init_scale: float = 0.1,
     fvals = [f0 if f0 is not None else call(x0v)]
     for i in range(dim):
         x = list(x0v)
-        step = init_scale * (hi[i] - lo[i])
+        step = INIT_SCALE * (hi[i] - lo[i])
         x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
         x = clip(x)
         simplex.append(x)

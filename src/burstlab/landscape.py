@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bifurcation
-from .features import v_range
+from .features import SPIKE_THRESHOLD, v_range
 from .integrate import (LANES, MAX_STEPS, StepSizeError, detect_events,
                         initial_step, integrate, lane_crossings, step_lanes)
 
@@ -32,6 +32,15 @@ log = logging.getLogger(__name__)
 
 PERIOD = "PERIOD"
 RE_LAMBDA = "RE_LAMBDA"
+
+# the period measurement of orbit_period and the PERIOD lanes
+T_TRANSIENT = 500.0     # ms, doubled on the one retry
+T_MEASURE = 400.0       # ms of upward SPIKE_THRESHOLD crossings
+N_GAPS = 5              # the period is the mean of the last N_GAPS gaps
+SPREAD_TOL = 1e-3       # their largest spread, relative to the mean
+DECAY_RATIO = 0.8       # last to first cycle amplitude below it: a focus
+REL_TOL = 1e-6
+ABS_TOL = 1e-8
 
 # the status of a PERIOD node: a period, or why there is none
 DEFINED = "defined"
@@ -139,35 +148,33 @@ class ScalarField:
         return cls(grid=grid, values=values, kind=kind)
 
 
-def orbit_period(fast, slow, *, level: float = -20.0, t_transient: float = 500.0,
-                 t_measure: float = 400.0, n_gaps: int = 5,
-                 spread_tol: float = 1e-3, rel_tol: float = 1e-6,
-                 abs_tol: float = 1e-8) -> Optional[float]:
+def orbit_period(fast, slow, *,
+                 t_measure: float = T_MEASURE) -> Optional[float]:
     """Period (ms) of the attracting periodic orbit at a frozen slow point.
 
-    Integrates from the standard seed (v = level, gates slaved) through a
-    transient, then averages the gaps between upward level crossings. Returns
-    None when fewer than 3 crossings occur (quiescent or steady state), when
-    the gap spread does not settle after one retry with a doubled transient,
-    when the oscillation amplitude keeps decaying (slowly converging
-    focus right of the Hopf curve rather than an orbit), or when the step
-    size underflows (StepSizeError). Any other exception propagates.
+    Integrates from the standard seed (v = SPIKE_THRESHOLD, gates slaved)
+    through a transient, then averages the gaps between upward crossings of
+    that level over t_measure ms. Returns None when fewer than 3 crossings
+    occur (quiescent or steady state), when the gap spread does not settle
+    after one retry with a doubled transient, when the oscillation amplitude
+    keeps decaying (slowly converging focus right of the Hopf curve rather
+    than an orbit), or when the step size underflows or the step budget
+    runs out (StepSizeError). Any other exception propagates.
     """
     rhs = fast.frozen_rhs(slow)
-    y0 = fast.slaved(level)
-    for t_warm in (t_transient, 2.0 * t_transient):
+    y0 = fast.slaved(SPIKE_THRESHOLD)
+    for t_warm in (T_TRANSIENT, 2.0 * T_TRANSIENT):
         try:
-            tr = integrate(rhs, y0, (0.0, t_warm), rel_tol=rel_tol,
-                           abs_tol=abs_tol)
+            tr = integrate(rhs, y0, (0.0, t_warm), rel_tol=REL_TOL,
+                           abs_tol=ABS_TOL)
             traj, evs = detect_events(rhs, tuple(tr.ys[-1]),
                                       (t_warm, t_warm + t_measure),
-                                      [lambda t, y: y[0] - level],
-                                      rel_tol=rel_tol, abs_tol=abs_tol)
+                                      [lambda t, y: y[0] - SPIKE_THRESHOLD],
+                                      rel_tol=REL_TOL, abs_tol=ABS_TOL)
         except StepSizeError:
             return None
         ups = [e.t for e in evs if e.direction > 0]
-        status, period = _period_verdict(ups, *_cycle_amplitudes(traj, ups),
-                                         n_gaps, spread_tol)
+        status, period = _period_verdict(ups, *_cycle_amplitudes(traj, ups))
         if status not in (UNCONVERGED, DECAYED):
             break
     return period
@@ -181,58 +188,51 @@ def _cycle_amplitudes(traj, ups):
                                         v_range(traj, ups[-2], ups[-1])))
 
 
-def _period_verdict(ups, amp_first, amp_last, n_gaps, spread_tol,
-                    ratio: float = 0.8):
+def _period_verdict(ups, amp_first, amp_last):
     """(status, period) of one measurement window from its upward crossing
-    times (at least the last n_gaps + 1, in order) and the v-amplitudes of
-    its first and last cycles. The period is the mean of the last n_gaps
+    times (at least the last N_GAPS + 1, in order) and the v-amplitudes of
+    its first and last cycles. The period is the mean of the last N_GAPS
     gaps; UNCONVERGED and DECAYED earn orbit_period's one retry."""
     if len(ups) < 3:
         return QUIESCENT, None
-    gaps = np.diff(ups)[-n_gaps:]
+    gaps = np.diff(ups)[-N_GAPS:]
     mean = float(np.mean(gaps))
-    if amp_first > 0.0 and amp_last < ratio * amp_first:
+    if amp_first > 0.0 and amp_last < DECAY_RATIO * amp_first:
         return DECAYED, None
-    if float((gaps.max() - gaps.min()) / mean) >= spread_tol:
+    if float((gaps.max() - gaps.min()) / mean) >= SPREAD_TOL:
         return UNCONVERGED, None
     return DEFINED, mean
 
 
-def _period_lanes(fast, slows, *, level: float = -20.0,
-                  t_transient: float = 500.0, t_measure: float = 400.0,
-                  n_gaps: int = 5, spread_tol: float = 1e-3,
-                  rel_tol: float = 1e-6, abs_tol: float = 1e-8):
+def _period_lanes(fast, slows):
     """orbit_period's measurement at every slow point, each point a lane of
     one lockstep loop: (periods with NaN where undefined, statuses).
 
     Every lane follows orbit_period: the transient from the seed, then a
-    measurement window restarted with a fresh initial step, then the one
+    T_MEASURE window restarted with a fresh initial step, then the one
     retry with a doubled transient, which restarts the lane from the seed
     in place. Upward crossings are stored per lane in a ring of the last
-    n_gaps + 1 (at least 3) steps that crossed and refined when the window
-    ends; the cycle amplitudes come from the running extremes of v at the
-    accepted step ends. A lane that underflows its step size, or spends
-    integrate's step budget on one window, ends as STEP_FAILURE, where
-    orbit_period catches StepSizeError. Finished lanes are compacted out. No
-    lane's arithmetic involves another lane, so the results do not depend
-    on the batch.
+    N_GAPS + 1 steps that crossed and refined when the window ends; the
+    cycle amplitudes come from the running extremes of v at the accepted
+    step ends. A lane that underflows its step size, or spends integrate's
+    step budget on one window, ends as STEP_FAILURE, where orbit_period
+    catches StepSizeError. Finished lanes are compacted out. No lane's
+    arithmetic involves another lane, so the results do not depend on the
+    batch.
     """
-    if n_gaps < 1:
-        raise ValueError("n_gaps must be at least 1")
     slows = list(slows)
     n = len(slows)
     values = np.full(n, math.nan)
     status = np.full(n, STEP_FAILURE, dtype="<U12")
     if not n:
         return values, status
-    # _period_verdict needs 3 crossings whatever n_gaps
-    ring_len = max(n_gaps + 1, 3)
+    ring_len = N_GAPS + 1
     # per point, indexed by point number
     rhs = fast.lane_rhs(slows)
     t = np.zeros(n)
-    y_seed = tuple(np.full(n, c) for c in fast.slaved(level))
+    y_seed = tuple(np.full(n, c) for c in fast.slaved(SPIKE_THRESHOLD))
     f_seed = rhs(t, y_seed)
-    h_seed = initial_step(rhs, t, y_seed, f_seed, rel_tol, abs_tol, LANES)
+    h_seed = initial_step(rhs, t, y_seed, f_seed, REL_TOL, ABS_TOL, LANES)
     retried = np.zeros(n, dtype=bool)
     n_ups = np.zeros(n, dtype=int)
     ring = np.zeros((n, ring_len, 10))      # t, h, v and the 7 v-stages
@@ -241,7 +241,7 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
     # per lane, compacted as lanes finish
     ids = np.arange(n)
     y, f, h = y_seed, f_seed, h_seed
-    t_end = np.full(n, t_transient)
+    t_end = np.full(n, T_TRANSIENT)
     measuring = np.zeros(n, dtype=bool)
     live = np.ones(n, dtype=bool)
     g_prev = np.zeros(n)
@@ -263,13 +263,12 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
         rows = ring[pts][valid]
         times = np.full(valid.shape, math.nan)
         times[valid] = lane_crossings(rows[:, 0], rows[:, 1], rows[:, 2],
-                                      rows[:, 3:].T, level)
+                                      rows[:, 3:].T, SPIKE_THRESHOLD)
         retry = []
         for j, (lane, pt, count) in enumerate(zip(loc, pts, counts)):
             kept = min(count, ring_len)     # in time order:
             ups = times[j, [(count - kept + i) % ring_len for i in range(kept)]]
-            verdict, period = _period_verdict(ups, amp_first[pt], amp_last[pt],
-                                              n_gaps, spread_tol)
+            verdict, period = _period_verdict(ups, amp_first[pt], amp_last[pt])
             if verdict in (UNCONVERGED, DECAYED) and not retried[pt]:
                 retry.append(lane)
             else:
@@ -279,7 +278,7 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
     with np.errstate(all="ignore"):     # finished lanes step on garbage
         while ids.size:
             h_used, y_new, k, acc, h, failed = step_lanes(
-                rhs, t, y, f, h, t_end, rel_tol, abs_tol)
+                rhs, t, y, f, h, t_end, REL_TOL, ABS_TOL)
             n_steps += acc
             failed = live & (failed | (n_steps >= MAX_STEPS))
             if failed.any():
@@ -288,7 +287,7 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
             # upward crossings and running extremes on measuring lanes
             v = y_new[0]
             m = acc & measuring
-            up = m & (g_prev < 0.0) & (v - level >= 0.0)
+            up = m & (g_prev < 0.0) & (v - SPIKE_THRESHOLD >= 0.0)
             if up.any():
                 loc = np.flatnonzero(up)
                 pts = ids[loc]
@@ -299,9 +298,9 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
                 amp_last[pts] = amp
                 first = n_ups[pts] == 2
                 amp_first[pts[first]] = amp[first]
-                top[loc] = level
-                bot[loc] = level
-            g_prev = np.where(m, v - level, g_prev)
+                top[loc] = SPIKE_THRESHOLD
+                bot[loc] = SPIKE_THRESHOLD
+            g_prev = np.where(m, v - SPIKE_THRESHOLD, g_prev)
             top = np.where(m, np.maximum(top, v), top)
             bot = np.where(m, np.minimum(bot, v), bot)
             t = np.where(acc, t + h_used, t)
@@ -315,9 +314,9 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
                     h[sel] = initial_step(
                         fast.lane_rhs([slows[i] for i in ids[sel]]), t[sel],
                         tuple(c[sel] for c in y), tuple(c[sel] for c in f),
-                        rel_tol, abs_tol, LANES)
-                    t_end[sel] += t_measure
-                    g_prev[sel] = y[0][sel] - level
+                        REL_TOL, ABS_TOL, LANES)
+                    t_end[sel] += T_MEASURE
+                    g_prev[sel] = y[0][sel] - SPIKE_THRESHOLD
                     n_ups[ids[sel]] = 0
                 sel = loc[measuring[loc]]
                 if sel.size:
@@ -328,7 +327,7 @@ def _period_lanes(fast, slows, *, level: float = -20.0,
                     for c, c0 in zip(y + f, y_seed + f_seed):
                         c[sel] = c0[pts]
                     h[sel] = h_seed[pts]
-                    t_end[sel] = 2.0 * t_transient
+                    t_end[sel] = 2.0 * T_TRANSIENT
                 measuring[loc] = ~measuring[loc]
                 n_steps[loc] = 0
             # compact once an eighth of the lanes have finished: each
@@ -360,12 +359,12 @@ def _map(fn, workers, items, chunksize=1):
     return [fn(item) for item in items]
 
 
-def build_field(kind: str, grid: GridSpec, fast, workers: Optional[int] = None,
-                **opts) -> ScalarField:
+def build_field(kind: str, grid: GridSpec, fast,
+                workers: Optional[int] = None) -> ScalarField:
     """Evaluate a field on every grid node.
 
     A PERIOD field runs its nodes as the lanes of one lockstep loop, with
-    orbit_period's options (opts) and a status per node; with workers > 1
+    orbit_period's measurement and a status per node; with workers > 1
     the nodes are split into that many contiguous chunks, one loop per
     worker process. RE_LAMBDA nodes are evaluated one by one, in a process
     pool with workers > 1. Workers receive the model object pickled. Lanes
@@ -382,7 +381,7 @@ def build_field(kind: str, grid: GridSpec, fast, workers: Optional[int] = None,
              for ca in grid.ca_axis() for na in grid.na_axis()]
     if kind == PERIOD:
         size = -(-len(nodes) // workers)
-        chunks = _map(functools.partial(_period_lanes, fast, **opts), workers,
+        chunks = _map(functools.partial(_period_lanes, fast), workers,
                       [nodes[i:i + size] for i in range(0, len(nodes), size)])
         values, status = (np.concatenate(parts).reshape(shape)
                           for parts in zip(*chunks))

@@ -59,7 +59,7 @@ class EllipsePath:
         """The closed-form position as a function point(t), counter-clockwise
         from t = 0, over the path's constants taken once.
 
-        The driven kernel calls it once per distinct stage time of every
+        The driven loop calls it once per distinct stage time of every
         step, five times a step, so it reads no attribute per call. Any
         path whose position has a closed form can drive a run through such
         a function. Pass np.cos and np.sin for a point(t) that takes a numpy

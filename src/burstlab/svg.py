@@ -1,4 +1,4 @@
-"""Minimal static SVG writer for (Ca, Na)-plane overlays and time courses.
+"""Minimal static SVG writer for (Ca, Na)-plane overlays.
 
 No plotting dependency: fixed 800x600 canvas, linear axis maps, colors per
 the figure legends (paths blue/purple/red by increasing parameter, SNIC
@@ -17,6 +17,10 @@ CURVE_COLOR = "#222222"
 CONTOUR_COLOR = "#999999"
 SNIC_MARK = "#1a9e3c"    # green circles at SNIC crossings
 AH_MARK = "#000000"      # black circles at AH crossings
+MARK_RADIUS = 4.0
+LABEL_SIZE = 13         # font size of curve labels
+X_LABEL = "Ca (uM)"
+Y_LABEL = "Na (mM)"
 
 
 @dataclass
@@ -27,8 +31,6 @@ class SvgCanvas:
     x_max: float
     y_min: float
     y_max: float
-    x_label: str = ""
-    y_label: str = ""
     elements: list = field(default_factory=list)
 
     def x(self, vx: float) -> float:
@@ -39,38 +41,33 @@ class SvgCanvas:
         f = (vy - self.y_min) / (self.y_max - self.y_min)
         return HEIGHT - MARGIN - f * (HEIGHT - 2 * MARGIN)
 
-    def polyline(self, xs, ys, color: str = CURVE_COLOR, width: float = 1.5,
-                 dashed: bool = False) -> None:
+    def polyline(self, xs, ys, color: str = CURVE_COLOR,
+                 width: float = 1.5) -> None:
         pts = " ".join(f"{self.x(a):.2f},{self.y(b):.2f}"
                        for a, b in zip(xs, ys))
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{dash}/>')
+            f'stroke-width="{width}"/>')
 
-    def circle(self, vx: float, vy: float, color: str, r: float = 4.0) -> None:
+    def circle(self, vx: float, vy: float, color: str) -> None:
         self.elements.append(
-            f'<circle cx="{self.x(vx):.2f}" cy="{self.y(vy):.2f}" r="{r}" '
-            f'fill="{color}"/>')
+            f'<circle cx="{self.x(vx):.2f}" cy="{self.y(vy):.2f}" '
+            f'r="{MARK_RADIUS}" fill="{color}"/>')
 
-    def text(self, vx: float, vy: float, s: str, size: int = 13,
-             color: str = "#000000") -> None:
+    def text(self, vx: float, vy: float, s: str) -> None:
         self.elements.append(
             f'<text x="{self.x(vx):.2f}" y="{self.y(vy):.2f}" '
-            f'font-size="{size}" fill="{color}">{s}</text>')
+            f'font-size="{LABEL_SIZE}" fill="#000000">{s}</text>')
 
     def render(self) -> str:
         frame = (f'<rect x="{MARGIN}" y="{MARGIN}" '
                  f'width="{WIDTH - 2 * MARGIN}" height="{HEIGHT - 2 * MARGIN}" '
                  f'fill="none" stroke="#000" stroke-width="1"/>')
-        labels = []
-        if self.x_label:
-            labels.append(f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 15:.0f}" '
-                          f'font-size="15" text-anchor="middle">{self.x_label}</text>')
-        if self.y_label:
-            labels.append(f'<text x="18" y="{HEIGHT / 2:.0f}" font-size="15" '
-                          f'text-anchor="middle" transform="rotate(-90 18 '
-                          f'{HEIGHT / 2:.0f})">{self.y_label}</text>')
+        labels = [f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 15:.0f}" '
+                  f'font-size="15" text-anchor="middle">{X_LABEL}</text>',
+                  f'<text x="18" y="{HEIGHT / 2:.0f}" font-size="15" '
+                  f'text-anchor="middle" transform="rotate(-90 18 '
+                  f'{HEIGHT / 2:.0f})">{Y_LABEL}</text>']
         ticks = self._ticks()
         body = "\n".join([frame] + ticks + labels + self.elements)
         return (f'<svg xmlns="http://www.w3.org/2000/svg" '

@@ -129,7 +129,25 @@ def test_landscape_command_small(tmp_path):
     assert svg_out.read_text().startswith("<svg")
 
 
-def test_fit_command(tmp_path, curves2, fig4_d1_trace):
+@pytest.mark.parametrize("args, code", [
+    (["--kind", "relambda", "--grid", "1x5"], cli.EXIT_USAGE),
+    (["--kind", "relambda", "--window", "0.4:0.1:4.8:5.8"], cli.EXIT_USAGE),
+    (["--kind", "relambda", "--levels", "a,b"], cli.EXIT_USAGE),
+    # every node quiescent: the field is written, no contour can be drawn
+    (["--kind", "period", "--window", "1.2:1.5:4.8:5.0", "--grid", "3x3"],
+     cli.EXIT_NUMERICAL),
+], ids=["grid_1x5", "window_reversed", "levels_text", "all_quiescent"])
+def test_landscape_bad_input_exit_codes(tmp_path, capsys, args, code):
+    field = tmp_path / "field.csv"
+    rc = cli.main(["landscape", *args, "--field_out", str(field),
+                   "--contours_out", str(tmp_path / "contours.csv")])
+    assert rc == code
+    assert field.exists() == (code == cli.EXIT_NUMERICAL)
+    if code == cli.EXIT_NUMERICAL:
+        assert "quiescent 9" in capsys.readouterr().err
+
+
+def _fit_config(tmp_path, curves2, fig4_d1_trace, extra=""):
     from burstlab.features import burst_features
     curves_csv = tmp_path / "curves.csv"
     write_curves(curves_csv, *curves2)
@@ -139,13 +157,37 @@ def test_fit_command(tmp_path, curves2, fig4_d1_trace):
     cfg.write_text(
         "fit.model = driven4d\n"
         f"fit.target = {target_csv}\n"
-        "fit.free = d\n"
         "fit.bounds.d = 0.7:1.4\n"
         "fit.budget = 12\n"
-        "fit.seed = 5\n"
-        "path.ca_c = 0.15\n"
-        "path.na_c = 5.85\n"
-        "path.ca0 = 0\n"
+        "fit.seed = 5\n" + extra)
+    return cfg, curves_csv
+
+
+@pytest.mark.parametrize("extra", [
+    # a free name that is not a path parameter
+    "fit.free = d,ca0,bogus\nfit.bounds.ca0 = -0.05:0.08\n"
+    "path.ca_c = 0.15\npath.na_c = 5.85\npath.eps = 0.004\n",
+    # a start point off the centre, which every fitted path has
+    "fit.free = d\npath.ca_c = 0.15\npath.na_c = 5.85\npath.na0 = 6.1\n"
+    "path.ca0 = 0\npath.eps = 0.004\n",
+    # bounds for na0, which is not a fit parameter
+    "fit.free = d\nfit.bounds.na0 = 5.0:6.0\npath.ca_c = 0.15\n"
+    "path.na_c = 5.85\npath.ca0 = 0\npath.eps = 0.004\n",
+], ids=["unknown_free", "na0_off_centre", "na0_bounds"])
+def test_fit_rejects_ignored_config(tmp_path, curves2, fig4_d1_trace, extra):
+    cfg, curves_csv = _fit_config(tmp_path, curves2, fig4_d1_trace, extra)
+    log_csv = tmp_path / "log.csv"
+    rc = cli.main(["fit", "--config", str(cfg), "--curves", str(curves_csv),
+                   "--out", str(log_csv),
+                   "--best_out", str(tmp_path / "best.cfg")])
+    assert rc == cli.EXIT_USAGE
+    assert not log_csv.exists()
+
+
+def test_fit_command(tmp_path, curves2, fig4_d1_trace):
+    cfg, curves_csv = _fit_config(
+        tmp_path, curves2, fig4_d1_trace,
+        "fit.free = d\npath.ca_c = 0.15\npath.na_c = 5.85\npath.ca0 = 0\n"
         "path.eps = 0.004\n")
     log_csv = tmp_path / "log.csv"
     best_cfg = tmp_path / "best.cfg"
@@ -154,7 +196,16 @@ def test_fit_command(tmp_path, curves2, fig4_d1_trace):
     assert rc == 0
     best = parse_config(best_cfg.read_text())
     assert 0.7 <= float(best["path.d"]) <= 1.4
+    assert best["path.na0"] == best["path.na_c"]
     assert log_csv.read_text().splitlines()[0] == "d,distance,db,status,seconds,sequence"
+    # the best path, na0 included, loads as the fixed part of a new fit
+    again = tmp_path / "again.cfg"
+    again.write_text(cfg.read_text().split("fit.free")[0]
+                     + "fit.free = d\n" + best_cfg.read_text())
+    rc = cli.main(["fit", "--config", str(again), "--curves", str(curves_csv),
+                   "--out", str(tmp_path / "log2.csv"),
+                   "--best_out", str(tmp_path / "best2.cfg")])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("command", ["features", "fit"])

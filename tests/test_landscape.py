@@ -270,17 +270,6 @@ def test_period_lane_step_failure_is_local(reduced):
     assert np.array_equal(field.status[others], good.status[others])
 
 
-def test_period_lanes_keep_three_crossings_for_one_gap(reduced):
-    # with n_gaps = 1 a lane still keeps the 3 crossings the verdict needs
-    points = [(0.15, 5.2), (0.2, 5.3), (0.25, 5.4)]
-    values, status = landscape._period_lanes(reduced, points, n_gaps=1)
-    assert list(status) == [landscape.DEFINED] * 3
-    scalar = [orbit_period(reduced, p, n_gaps=1) for p in points]
-    np.testing.assert_allclose(values, scalar, rtol=1e-6)
-    with pytest.raises(ValueError):
-        landscape._period_lanes(reduced, points, n_gaps=0)
-
-
 def test_period_lane_step_budget(reduced, monkeypatch):
     # a window that spends the step budget ends its lane as a step failure,
     # as integrate's StepSizeError makes orbit_period undefined; a 500 ms
