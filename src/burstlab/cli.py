@@ -217,19 +217,16 @@ def cmd_bifcurves(args) -> int:
 
 def cmd_landscape(args) -> int:
     fast = figures.model_for(args.model)
-    parts = args.window.split(":")
-    if len(parts) != 4:
-        raise UsageError("window must be ca0:ca1:na0:na1")
     kind = PERIOD if args.kind == "period" else RE_LAMBDA
     levels = figures.PERIOD_LEVELS if kind == PERIOD else figures.RE_LEVELS
     try:
-        ca0, ca1, na0, na1 = (float(x) for x in parts)
+        ca0, ca1, na0, na1 = (float(x) for x in args.window.split(":"))
         n_ca, n_na = (int(x) for x in args.grid.lower().split("x"))
         grid = GridSpec(ca0, ca1, na0, na1, n_ca, n_na)
         if args.levels:
             levels = [float(x) for x in args.levels.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad window, grid or levels: {exc}") from None
+    except ValueError as exc:       # also a wrong number of fields
+        raise UsageError(f"bad --window, --grid or --levels: {exc}") from None
     field = build_field(kind, grid, fast)
     field.to_csv(args.field_out)
     print(f"wrote {args.field_out}")
@@ -298,10 +295,9 @@ def cmd_fit(args) -> int:
     if not target_path:
         raise UsageError("fit.target (a features CSV) is required")
     free = [k.strip() for k in cfg.get("fit.free", "d,ca0").split(",") if k.strip()]
-    unknown = sorted(set(free) - set(PATH_PARAMS))
-    if unknown:
-        raise UsageError(f"fit.free: {', '.join(unknown)} not among "
-                         f"{', '.join(PATH_PARAMS)}")
+    if not set(free) <= set(PATH_PARAMS):
+        raise UsageError(f"fit.free = {', '.join(free)}: each name must be "
+                         f"one of {', '.join(PATH_PARAMS)}")
     if "path.na0" in cfg and (get_float(cfg, "path.na0")
                               != get_float(cfg, "path.na_c")):
         raise UsageError("path.na0 must equal path.na_c: fitted paths are centred")

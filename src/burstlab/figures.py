@@ -41,8 +41,8 @@ def _paths(ca_c, na_c, ca0, eps, ds):
     return tuple(EllipsePath.centered(ca_c, na_c, d, ca0, eps) for d in ds)
 
 
-AUTONOMOUS_TRANSIENT = 3000.0   # ms of warm-up, then of run, of fig1 and fig2
-AUTONOMOUS_BUDGET = 9000.0
+AUTONOMOUS_TRANSIENT = 3000.0   # ms of warm-up of fig1 and fig2
+AUTONOMOUS_BUDGET = 9000.0      # ms recorded after it
 
 FIG6_WINDOW = GridSpec(-0.1, 0.45, 4.8, 5.8, 121, 121)
 FIG7_WINDOW = GridSpec(0.0, 0.5, 4.8, 6.4, 121, 121)
