@@ -318,14 +318,19 @@ def cmd_fit(args) -> int:
         wkey = f"fit.weights.{key}"
         if wkey in cfg:
             weights[key] = get_float(cfg, wkey)
-    problem = FitProblem(
-        target=target, bounds=bounds, fixed=fixed,
-        params=fast.params, snic=snic, ah=ah,
-        model=fast.name, weights=weights or None,
-        budget=int(get_float(cfg, "fit.budget", 300)),
-        seed=int(get_float(cfg, "fit.seed", 0)),
-        rel_tol=get_float(cfg, "fit.rel_tol", 1e-8),
-        abs_tol=get_float(cfg, "fit.abs_tol", 1e-8))
+    try:
+        problem = FitProblem(
+            target=target, bounds=bounds, fixed=fixed,
+            params=fast.params, snic=snic, ah=ah,
+            model=fast.name, weights=weights or None,
+            budget=int(get_float(cfg, "fit.budget", 300)),
+            seed=int(get_float(cfg, "fit.seed", 0)),
+            rel_tol=get_float(cfg, "fit.rel_tol", 1e-8),
+            abs_tol=get_float(cfg, "fit.abs_tol", 1e-8))
+    except (ValueError, OverflowError) as exc:
+        # a box or budget FitProblem rejects, or a budget or seed that is
+        # infinite or NaN
+        raise UsageError(str(exc)) from None
     result = fit_path(problem)
     result.to_csv(args.out)
     best = result.best_path

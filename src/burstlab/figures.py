@@ -135,20 +135,14 @@ def run_figure(name: str, outdir, rel_tol: float = 1e-8,
             tr = _autonomous_raw(fast, snic, ah, rel_tol, abs_tol)
         traces.append((preset.model, tr))
 
-    canvas = _overlay_canvas(preset, snic, ah, traces)
-    field = None
+    contours = None
     if preset.field_kind is not None:
         field = build_field(preset.field_kind, preset.window, fast,
                             workers=workers)
         field.to_csv(os.path.join(outdir, f"{name}_field.csv"))
         contours = extract_contours(field, preset.levels)
         contours.to_csv(os.path.join(outdir, f"{name}_contours.csv"))
-        for level in contours.levels:
-            for poly in contours.polylines.get(level, []):
-                canvas.polyline(poly[:, 0], poly[:, 1],
-                                color=svg.CONTOUR_COLOR, width=0.8)
-        canvas.polyline(snic.ca, snic.na, color=svg.CURVE_COLOR, width=2.0)
-        canvas.polyline(ah.ca, ah.na, color=svg.CURVE_COLOR, width=2.0)
+    canvas = _overlay_canvas(preset, snic, ah, traces, contours)
 
     with open(os.path.join(outdir, f"{name}_features.csv"), "w") as fh:
         fh.write("label," + ",".join(FeatureVector.COLUMNS) + "\n")
@@ -188,7 +182,9 @@ def _autonomous_raw(fast, snic, ah, rel_tol, abs_tol):
                       model=f"autonomous-{fast.name}")
 
 
-def _overlay_canvas(preset, snic, ah, traces):
+def _overlay_canvas(preset, snic, ah, traces, contours):
+    """The overlay, bottom layer first: contours (when there is a field),
+    the SNIC and AH curves, then the paths with their crossing markers."""
     all_ca = list(snic.ca) + list(ah.ca)
     all_na = list(snic.na) + list(ah.na)
     for label, tr in traces:
@@ -204,6 +200,11 @@ def _overlay_canvas(preset, snic, ah, traces):
         x0, x1 = min(all_ca) - pad_x, max(all_ca) + pad_x
         y0, y1 = min(all_na) - pad_y, max(all_na) + pad_y
     canvas = svg.SvgCanvas(x0, x1, y0, y1)
+    if contours is not None:
+        for level in contours.levels:
+            for poly in contours.polylines.get(level, []):
+                canvas.polyline(poly[:, 0], poly[:, 1],
+                                color=svg.CONTOUR_COLOR, width=0.8)
     canvas.polyline(snic.ca, snic.na, color=svg.CURVE_COLOR, width=2.0)
     canvas.polyline(ah.ca, ah.na, color=svg.CURVE_COLOR, width=2.0)
     canvas.text(float(snic.ca[-1]), float(snic.na[-1]), "SNIC")

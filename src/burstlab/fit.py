@@ -1,8 +1,9 @@
 """Optimization of imposed-path parameters against target burst features.
 
 Two-phase derivative-free search: a Latin-hypercube sample of the parameter
-box keeps the trials that classify as DB bursting, then a Nelder-Mead
-simplex descends from the best of them. Trials that fail DB classification
+box keeps the trials that classify as DB bursting, then SciPy's Nelder-Mead
+simplex descends from the best of them, on the evaluations the sample left
+of the budget, never more. Trials that fail DB classification
 are penalized, never returned as best. A trial is classified from its
 path's crossings before any integration, and only a DB-windowed trial runs
 the driven model. The objective is piecewise smooth (spike counts are
@@ -17,6 +18,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
+from scipy.optimize import minimize
 
 from .bifurcation import BifCurve
 from .features import (ClassificationError, FeatureVector, burst_features,
@@ -167,78 +171,47 @@ def latin_hypercube(bounds: dict, n: int, seed: int):
 
 
 def nelder_mead(f, x0, bounds, max_evals: int, f0: Optional[float] = None):
-    """Bounded Nelder-Mead minimization of f over parameter dicts.
+    """Bounded Nelder-Mead minimization of f over parameter dicts: SciPy's
+    Nelder-Mead (scipy.optimize.minimize), which clips every vertex into
+    the box, so the simplex cannot leave it.
 
-    Points are clipped into the box before evaluation, so the simplex cannot
-    leave it. Deterministic: the initial simplex steps each coordinate by
-    INIT_SCALE of its box width. Returns (best_x, best_f, n_evals).
+    Deterministic: the initial simplex is x0 clipped into the box plus one
+    vertex per coordinate, stepped by INIT_SCALE of its box width (down
+    where up would pass the upper bound). f is called at most max_evals
+    times; a given f0 is taken as f(x0), which saves that call. The search
+    stops early once the simplex's f values agree to 1e-14. Returns
+    (best_x, best_f, n_evals): the best point evaluated, f0 at x0
+    included, its value and the number of calls of f.
     """
     names = sorted(x0)
-    lo = [bounds[n][0] for n in names]
-    hi = [bounds[n][1] for n in names]
-
-    def clip(x):
-        return [min(max(v, l), h) for v, l, h in zip(x, lo, hi)]
-
-    evals = 0
-
-    def call(x):
-        nonlocal evals
-        evals += 1
-        return f({n: v for n, v in zip(names, x)})
-
-    dim = len(names)
-    x0v = clip([x0[n] for n in names])
-    simplex = [x0v]
-    fvals = [f0 if f0 is not None else call(x0v)]
-    for i in range(dim):
-        x = list(x0v)
-        step = INIT_SCALE * (hi[i] - lo[i])
+    lo = np.array([bounds[n][0] for n in names])
+    hi = np.array([bounds[n][1] for n in names])
+    start = np.clip([x0[n] for n in names], lo, hi)
+    simplex = [start]
+    for i, step in enumerate(INIT_SCALE * (hi - lo)):
+        x = start.copy()
         x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
-        x = clip(x)
-        simplex.append(x)
-        fvals.append(call(x))
+        simplex.append(np.clip(x, lo, hi))
+    free = [] if f0 is None else [f0]
+    best_x, best_f = start, math.inf
 
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    while evals < max_evals:
-        order = sorted(range(dim + 1), key=lambda i: fvals[i])
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        if abs(fvals[-1] - fvals[0]) < 1e-14 * max(1.0, abs(fvals[0])):
-            break
-        centroid = [sum(s[i] for s in simplex[:-1]) / dim for i in range(dim)]
-        xr = clip([c + alpha * (c - w) for c, w in zip(centroid, simplex[-1])])
-        fr = call(xr)
-        if fvals[0] <= fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-            continue
-        if fr < fvals[0]:
-            if evals >= max_evals:
-                simplex[-1], fvals[-1] = xr, fr
-                break
-            xe = clip([c + gamma * (r - c) for c, r in zip(centroid, xr)])
-            fe = call(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
-            continue
-        if evals >= max_evals:
-            break
-        xc = clip([c + rho * (w - c) for c, w in zip(centroid, simplex[-1])])
-        fc = call(xc)
-        if fc < fvals[-1]:
-            simplex[-1], fvals[-1] = xc, fc
-            continue
-        for i in range(1, dim + 1):
-            if evals >= max_evals:
-                break
-            simplex[i] = clip([a + sigma * (b - a)
-                               for a, b in zip(simplex[0], simplex[i])])
-            fvals[i] = call(simplex[i])
-    order = sorted(range(dim + 1), key=lambda i: fvals[i])
-    best = simplex[order[0]]
-    return {n: v for n, v in zip(names, best)}, fvals[order[0]], evals
+    def objective(x):
+        # SciPy evaluates the first vertex, x0, first. It can stop at the
+        # budget without keeping the last point in the simplex, so the best
+        # point is kept here.
+        nonlocal best_x, best_f
+        fx = free.pop() if free else f(dict(zip(names, x.tolist())))
+        if fx < best_f:
+            best_x, best_f = x, fx
+        return fx
+
+    res = minimize(objective, start, method="Nelder-Mead",
+                   bounds=list(zip(lo, hi)),
+                   options={"initial_simplex": simplex,
+                            "maxfev": max_evals + (f0 is not None),
+                            "xatol": math.inf, "fatol": 1e-14})
+    return (dict(zip(names, best_x.tolist())), best_f,
+            res.nfev - (f0 is not None))
 
 
 def fit_path(problem: FitProblem, workers: Optional[int] = None) -> FitResult:
@@ -252,8 +225,8 @@ def fit_path(problem: FitProblem, workers: Optional[int] = None) -> FitResult:
     classification time, and step_failure arises only for DB-windowed
     paths. Deterministic for a fixed seed and problem.
 
-    Raises RuntimeError listing the observed crossing sequences when no
-    phase-1 point classifies as DB.
+    Raises ClassificationError listing the observed crossing sequences when
+    no phase-1 point classifies as DB.
     """
     if workers is None:
         workers = sweep_workers()
@@ -264,7 +237,7 @@ def fit_path(problem: FitProblem, workers: Optional[int] = None) -> FitResult:
     db_trials = [tr for tr in phase1 if tr.db]
     if not db_trials:
         seqs = sorted({tr.sequence for tr in phase1})
-        raise RuntimeError(
+        raise ClassificationError(
             "no DB-classified point in the initial sample; observed "
             f"sequences: {seqs}")
     best0 = min(db_trials, key=lambda tr: tr.distance)

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the tests.
 
-The model reference writes the six membrane currents out one by one from
-the gate functions (Currents, currents) and builds the fast and slow
-right-hand sides from them, apart from the cores in burstlab.model; the
-tests compare every derived rhs form with it.
+The model reference writes the gate functions with math.exp and math.cosh
+and the six membrane currents out one by one from them (Currents,
+currents), and builds the fast and slow right-hand sides from those, apart
+from the cores and gate functions in burstlab.model; the tests compare
+every derived rhs form with it.
 
 These deliberately avoid the production algorithms: fold locations come
 from bisection on the equilibrium count, Hopf locations from a sign scan of
@@ -27,8 +28,33 @@ import numpy as np
 from scipy.integrate import RK45
 
 from burstlab.bifurcation import _V_GRID, Equilibrium
-from burstlab.model import can_activation, gate_inf, gate_tau, phi, s_slaved
 from burstlab.params import ModelParams
+
+
+def gate_inf(v: float, theta: float, sigma: float) -> float:
+    """Steady-state activation 1/(1 + exp((v - theta)/sigma))."""
+    return 1.0 / (1.0 + math.exp((v - theta) / sigma))
+
+
+def gate_tau(v: float, t_x: float, theta: float, sigma: float) -> float:
+    """Gate time constant t_x / cosh((v - theta)/(2 sigma))."""
+    return t_x / math.cosh((v - theta) / (2.0 * sigma))
+
+
+def can_activation(ca: float, p: ModelParams) -> float:
+    """Calcium gate of the CAN current, 1/(1 + exp((Ca - k_CAN)/sigma_CAN))."""
+    return 1.0 / (1.0 + math.exp((ca - p.k_can) / p.sigma_can))
+
+
+def phi(na: float, k_na: float) -> float:
+    """Pump saturation Na^3 / (Na^3 + k_Na^3)."""
+    return na ** 3 / (na ** 3 + k_na ** 3)
+
+
+def s_slaved(v: float, p: ModelParams) -> float:
+    """Fixed point of the s equation at frozen v: s_inf/(s_inf + k)."""
+    si = gate_inf(v, p.theta_s, p.sigma_s)
+    return si / (si + p.k)
 
 
 @dataclass(frozen=True)

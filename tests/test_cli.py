@@ -147,7 +147,8 @@ def test_landscape_bad_input_exit_codes(tmp_path, capsys, args, code):
         assert "quiescent 9" in capsys.readouterr().err
 
 
-def _fit_config(tmp_path, curves2, fig4_d1_trace, extra=""):
+def _fit_config(tmp_path, curves2, fig4_d1_trace, extra="", budget=12,
+                d_bounds="0.7:1.4"):
     from burstlab.features import burst_features
     curves_csv = tmp_path / "curves.csv"
     write_curves(curves_csv, *curves2)
@@ -157,8 +158,8 @@ def _fit_config(tmp_path, curves2, fig4_d1_trace, extra=""):
     cfg.write_text(
         "fit.model = driven4d\n"
         f"fit.target = {target_csv}\n"
-        "fit.bounds.d = 0.7:1.4\n"
-        "fit.budget = 12\n"
+        f"fit.bounds.d = {d_bounds}\n"
+        f"fit.budget = {budget}\n"
         "fit.seed = 5\n" + extra)
     return cfg, curves_csv
 
@@ -181,6 +182,31 @@ def test_fit_rejects_ignored_config(tmp_path, curves2, fig4_d1_trace, extra):
                    "--out", str(log_csv),
                    "--best_out", str(tmp_path / "best.cfg")])
     assert rc == cli.EXIT_USAGE
+    assert not log_csv.exists()
+
+
+_CENTRED_D = ("fit.free = d\npath.ca_c = 0.15\npath.na_c = 5.85\n"
+              "path.ca0 = 0\npath.eps = 0.004\n")
+
+
+@pytest.mark.parametrize("keys, extra, code", [
+    ({"budget": 3}, _CENTRED_D, cli.EXIT_USAGE),
+    ({"budget": "inf"}, _CENTRED_D, cli.EXIT_USAGE),
+    ({"d_bounds": "-1:2"}, _CENTRED_D, cli.EXIT_USAGE),
+    # every phase-1 path lies left of both curves and crosses none
+    ({"budget": 9}, "fit.bounds.ca0 = -0.52:-0.51\npath.ca_c = -0.5\n"
+     "path.na_c = 5.85\npath.eps = 0.004\n", cli.EXIT_CLASSIFICATION),
+], ids=["budget_too_small", "budget_not_finite", "d_bounds_not_positive",
+        "no_db_point"])
+def test_fit_bad_problem_exit_codes(tmp_path, curves2, fig4_d1_trace, keys,
+                                    extra, code):
+    cfg, curves_csv = _fit_config(tmp_path, curves2, fig4_d1_trace, extra,
+                                  **keys)
+    log_csv = tmp_path / "log.csv"
+    rc = cli.main(["fit", "--config", str(cfg), "--curves", str(curves_csv),
+                   "--out", str(log_csv),
+                   "--best_out", str(tmp_path / "best.cfg")])
+    assert rc == code
     assert not log_csv.exists()
 
 

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from burstlab import svg
 from burstlab.features import FeatureVector
 from burstlab.figures import PRESETS, model_for, run_figure
 from burstlab.svg import MARGIN, SvgCanvas
@@ -60,6 +63,31 @@ def test_run_figure_fig4_artifacts(tmp_path, curves2):
     lines = (tmp_path / "fig4_features.csv").read_text().splitlines()
     assert lines[0] == "label," + ",".join(FeatureVector.COLUMNS)
     assert len(lines) == 4
+
+
+def test_overlay_draws_contours_then_curves_then_paths(tmp_path, curves2,
+                                                      monkeypatch):
+    # the fig7 preset on a coarse window: its contours lie beneath the SNIC
+    # and AH curves, drawn once each, and beneath every path and marker
+    fig7 = PRESETS["fig7"]
+    coarse = dataclasses.replace(fig7.window, n_ca=5, n_na=5)
+    monkeypatch.setitem(PRESETS, "fig7",
+                        dataclasses.replace(fig7, window=coarse))
+    run_figure("fig7", tmp_path, workers=1, curves=curves2)
+    lines = (tmp_path / "fig7_overlay.svg").read_text().splitlines()
+
+    def where(pred):
+        return [i for i, line in enumerate(lines) if pred(line)]
+
+    contours = where(lambda line: f'stroke="{svg.CONTOUR_COLOR}"' in line)
+    curves = where(lambda line: f'stroke="{svg.CURVE_COLOR}"' in line)
+    paths = where(lambda line: "<polyline" in line and any(
+        f'stroke="{c}"' in line for c in svg.PATH_COLORS))
+    marks = where(lambda line: "<circle" in line)
+    assert contours and len(paths) == 3 and marks
+    assert len(curves) == len({lines[i] for i in curves}) == 2
+    assert max(contours) < min(curves)
+    assert max(curves) < min(paths) < min(marks)
 
 
 def test_run_figure_rejects_unknown(tmp_path):

@@ -4,20 +4,22 @@ from burstlab import REDUCED4D, InvalidParameterError, StepSizeError, fit
 from burstlab.features import (ClassificationError, burst_features,
                                cycle_window, feature_distance, require_db,
                                run_driven, segment_stages)
-from burstlab.fit import (FitProblem, Trial, fit_path, latin_hypercube,
-                          nelder_mead, PENALTY)
+from burstlab.fit import (INIT_SCALE, FitProblem, Trial, fit_path,
+                          latin_hypercube, nelder_mead, PENALTY)
 from burstlab.model import ReducedFast
 
 
-def test_nelder_mead_quadratic():
-    calls = []
-
+def _bowl(calls):
     def f(x):
         calls.append(x)
         return (x["a"] - 0.3) ** 2 + 2.0 * (x["b"] + 0.5) ** 2
+    return f
 
+
+def test_nelder_mead_quadratic():
     best, fbest, evals = nelder_mead(
-        f, {"a": 0.0, "b": 0.0}, {"a": (-1, 1), "b": (-1, 1)}, max_evals=200)
+        _bowl([]), {"a": 0.0, "b": 0.0}, {"a": (-1, 1), "b": (-1, 1)},
+        max_evals=200)
     assert fbest < 1e-10
     assert best["a"] == pytest.approx(0.3, abs=1e-4)
     assert best["b"] == pytest.approx(-0.5, abs=1e-4)
@@ -31,6 +33,38 @@ def test_nelder_mead_respects_bounds():
 
     best, fbest, _ = nelder_mead(f, {"a": 0.0}, {"a": (-1, 1)}, max_evals=80)
     assert best["a"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("f0", [None, 0.5])
+@pytest.mark.parametrize("max_evals", [0, 1, 2, 3, 8, 25])
+def test_nelder_mead_never_exceeds_budget(max_evals, f0):
+    # far fewer evaluations than convergence needs: the budget binds
+    calls = []
+    best, fbest, evals = nelder_mead(
+        _bowl(calls), {"a": 0.9, "b": 0.9}, {"a": (-1, 1), "b": (-1, 1)},
+        max_evals=max_evals, f0=f0)
+    assert evals == len(calls) == max_evals
+    # the best point evaluated, f0 at x0 included
+    seen = [((x["a"] - 0.3) ** 2 + 2.0 * (x["b"] + 0.5) ** 2, x)
+            for x in calls]
+    if f0 is not None:
+        seen.append((f0, {"a": 0.9, "b": 0.9}))
+    if seen:
+        assert (fbest, best) == min(seen, key=lambda fx: fx[0])
+
+
+def test_nelder_mead_takes_f0_for_x0():
+    # x0 is not evaluated again; the first calls are the initial simplex,
+    # one coordinate stepped by INIT_SCALE of its width each, downward at
+    # the upper bound
+    calls = []
+    x0 = {"a": 0.0, "b": 0.95}
+    nelder_mead(_bowl(calls), x0, {"a": (-1, 1), "b": (-1, 1)},
+                max_evals=30, f0=2.0)
+    step = INIT_SCALE * 2.0
+    assert calls[:2] == [{"a": 0.0 + step, "b": 0.95},
+                         {"a": 0.0, "b": 0.95 - step}]
+    assert x0 not in calls
 
 
 def test_latin_hypercube_stratified_and_deterministic():
@@ -81,7 +115,7 @@ def test_fit_smoke_and_invariants(small_problem):
     assert db
     assert result.best_distance == min(tr.distance for tr in db)
     assert result.best_distance < PENALTY
-    assert len(result.trials) <= small_problem.budget + 1
+    assert len(result.trials) <= small_problem.budget
     # deterministic repeat, also when phase 1 runs in a process pool
     for workers in (1, 2):
         again = fit_path(small_problem, workers=workers)
@@ -122,7 +156,7 @@ def test_fit_errors_when_no_db_point(reduced, curves2, fig4_d1_trace):
         bounds={"d": (0.5, 2.0)},
         fixed={"ca_c": -0.4, "na_c": 5.5, "ca0": -0.45, "eps": 0.01},
         params=REDUCED4D, snic=snic, ah=ah, budget=9, seed=0)
-    with pytest.raises(RuntimeError, match="sequences"):
+    with pytest.raises(ClassificationError, match="sequences"):
         fit_path(problem, workers=1)
 
 
