@@ -14,7 +14,8 @@ import numpy as np
 from . import figures, svg
 from .bifurcation import (ContinuationError, read_curves, trace_fold_curve,
                           trace_hopf_curve, write_curves)
-from .config import UsageError, check_keys, get_float, get_span, load_config
+from .config import (UsageError, check_keys, get_float, get_int, get_span,
+                     load_config)
 from .features import (DEFAULT_WEIGHTS, ClassificationError, FeatureVector,
                        burst_features, run_autonomous, run_driven,
                        segment_stages)
@@ -301,6 +302,8 @@ def cmd_fit(args) -> int:
     if "path.na0" in cfg and (get_float(cfg, "path.na0")
                               != get_float(cfg, "path.na_c")):
         raise UsageError("path.na0 must equal path.na_c: fitted paths are centred")
+    budget = get_int(cfg, "fit.budget", 300)
+    seed = get_int(cfg, "fit.seed", 0)
     target = FeatureVector.from_csv(target_path)
     snic, ah = _curves(args.curves, fast)
     bounds = {}
@@ -323,13 +326,11 @@ def cmd_fit(args) -> int:
             target=target, bounds=bounds, fixed=fixed,
             params=fast.params, snic=snic, ah=ah,
             model=fast.name, weights=weights or None,
-            budget=int(get_float(cfg, "fit.budget", 300)),
-            seed=int(get_float(cfg, "fit.seed", 0)),
+            budget=budget, seed=seed,
             rel_tol=get_float(cfg, "fit.rel_tol", 1e-8),
             abs_tol=get_float(cfg, "fit.abs_tol", 1e-8))
-    except (ValueError, OverflowError) as exc:
-        # a box or budget FitProblem rejects, or a budget or seed that is
-        # infinite or NaN
+    except ValueError as exc:
+        # a box or budget FitProblem rejects
         raise UsageError(str(exc)) from None
     result = fit_path(problem)
     result.to_csv(args.out)

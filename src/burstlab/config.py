@@ -62,6 +62,13 @@ def get_float(cfg: dict, key: str, default=None) -> float:
         raise UsageError(f"key {key!r}: {cfg[key]!r} is not a number") from None
 
 
+def get_int(cfg: dict, key: str, default=None) -> int:
+    value = get_float(cfg, key, default)
+    if not float(value).is_integer():
+        raise UsageError(f"key {key!r}: {cfg[key]!r} is not an integer")
+    return int(value)
+
+
 def get_span(cfg: dict, key: str, default=None):
     """Parse 't0:t1' time spans."""
     if key not in cfg or cfg[key] == "":

@@ -98,7 +98,7 @@ def path_crossings(path: EllipsePath, snic: BifCurve, ah: BifCurve,
     dense output.
     """
     ts = np.linspace(0.0, t_end, math.ceil(t_end / MAX_STEP) + 1)
-    ca, na = path.point(ts, np.cos, np.sin)
+    ca, na = path.point(ts)
     point = path.closed_form()
     found = []
     for index, curve in enumerate((snic, ah)):
@@ -201,16 +201,16 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
     SNIC and AH crossings come from cycle_window, before any integration.
     One integration of the fast variables alone, from the rest state at
     the path's initial point, runs to the window end, stepped by the driven
-    loop fast.path_rhs(path).solve, which reads (Ca, Na) from the path's
-    closed_form function; the path's (Ca, Na) is then appended as the last
-    two columns of the trajectory. Any path runs, DB or not.
+    loop fast.path_rhs(path).solve, which has the path's closed form
+    inlined; the path's (Ca, Na) is then appended as the last two columns
+    of the trajectory. Any path runs, DB or not.
     """
     window = cycle_window(path, snic, ah)
     t1, t2 = window.t_start, window.t_end
     fast_traj = integrate(fast.path_rhs(path),
                           _rest_state(fast, (path.ca0, path.na0)), (0.0, t2),
                           rel_tol=rel_tol, abs_tol=abs_tol)
-    point = path.closed_form(np.cos, np.sin)
+    point = path.closed_form("array")
     traj = append_closed_form(fast_traj, point, lambda t: path.rhs(point(t)))
     events = tuple(
         EventRecord(index=index, t=te, y=tuple(traj.sample(te).tolist()),

@@ -16,7 +16,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -89,8 +89,9 @@ class Trial:
     sequence of a non-DB path's cycle window, or "error: ..." for a step
     failure or an invalid path; status names the class (DB, NOT_DB,
     STEP_FAILURE or INVALID). seconds, the wall time of the evaluation (of
-    the classification alone for NOT_DB), is left out of comparisons, so
-    equal fits compare equal."""
+    the classification alone for NOT_DB, of the lookup for a point
+    evaluated before), is left out of comparisons, so equal fits compare
+    equal."""
 
     values: dict
     distance: float
@@ -223,7 +224,10 @@ def fit_path(problem: FitProblem, workers: Optional[int] = None) -> FitResult:
     Every trial is classified from its path's crossings before it is
     integrated: a not_db trial runs no integration, its seconds is the
     classification time, and step_failure arises only for DB-windowed
-    paths. Deterministic for a fixed seed and problem.
+    paths. A point is evaluated once: when Nelder-Mead asks again for one,
+    which clipping to the box can make it do, the earlier trial is logged
+    again, timed as a lookup, and it still counts against the budget.
+    Deterministic for a fixed seed and problem.
 
     Raises ClassificationError listing the observed crossing sequences when
     no phase-1 point classifies as DB.
@@ -241,9 +245,16 @@ def fit_path(problem: FitProblem, workers: Optional[int] = None) -> FitResult:
             "no DB-classified point in the initial sample; observed "
             f"sequences: {seqs}")
     best0 = min(db_trials, key=lambda tr: tr.distance)
+    known = {tuple(sorted(tr.values.items())): tr for tr in trials}
 
     def objective(values):
-        tr = _evaluate(problem, values)
+        start = time.perf_counter()
+        key = tuple(sorted(values.items()))
+        if key in known:
+            tr = replace(known[key], values=values,
+                         seconds=time.perf_counter() - start)
+        else:
+            tr = known[key] = _evaluate(problem, values)
         trials.append(tr)
         return tr.distance
 

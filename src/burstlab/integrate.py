@@ -6,9 +6,11 @@ considerably faster in CPython than array-based steppers, and the landscape
 sweeps need that throughput. The tableau is written once, as data. A solve
 is generated from it on first use, per dimension, as one function: the
 accept/reject loop with the step inlined as straight-line code over local
-floats, so the state never leaves local variables and a step makes no call
-of its own. CPython charges for every call, loop iteration and tuple it
-builds, and a step that loops over components costs about a quarter more.
+floats, so the state never leaves local variables and a step calls nothing
+but its stages and sqrt. The step control and the error norm are
+conditional expressions, not min, max and abs calls. CPython charges for
+every call, loop iteration and tuple it builds, and a step that loops over
+components costs about a quarter more.
 Dense output uses the standard fourth-order interpolant of the pair. Events
 are localized after the solve: the test functions are evaluated at the
 accepted steps of the finished trajectory and each sign change is refined
@@ -22,12 +24,17 @@ compiled for tuple states or for lanes. A lane state is a tuple of numpy
 arrays, one element per independent problem, advanced in lockstep by
 step_lanes with a step size and accept decision of its own per lane. Only
 the namespace the step is compiled in differs (TUPLES or LANES), so each
-lane does the tuple step's arithmetic in the same order.
+lane does the tuple step's arithmetic in the same order. The solve loop
+alone writes the error scale's max(abs(y), abs(z)) as a conditional
+expression, which takes floats only and picks the same operand.
 
 The generator takes each stage as source, by default one rhs call. An rhs
 may carry its own loop as rhs.solve, generated by solve_source with other
 stages, and integrate then runs it; the driven loop of model.py is one,
-with the current balance and the path forcing inlined into every stage.
+with the current balance, the path's closed form and the forcing inlined
+into every stage and every sigmoid an inline expression, so a driven step
+makes no Python call at all, only calls of math's exp, cosh, cos, sin and
+sqrt.
 """
 from __future__ import annotations
 
@@ -257,7 +264,16 @@ def _rhs_stage(t, k, fresh):
     return [f"{', '.join(k)}, = rhs({t}, ({z},))"]
 
 
-def _attempt(dim, stage):
+# max(abs(a), abs(b)), the error scale's magnitude, as a call for any
+# state and as a conditional expression for floats. The expression picks
+# the operand max picks, the first of equal values; a sign it leaves on a
+# zero or a NaN does not change the scale or the norm.
+_LARGER_CALL = "max(abs({a}), abs({b}))"
+_LARGER_FLOAT = ("(_b if (_b := ({b} if {b} >= 0.0 else -{b}))"
+                 " > (_a := ({a} if {a} >= 0.0 else -{a})) else _a)")
+
+
+def _attempt(dim, stage, larger=_LARGER_CALL):
     """Source lines of one Dormand-Prince attempt, unrolled from the
     tableau, from the state y0, y1, ... and its derivative k0_0, k0_1, ...
     at t with step h: the stage derivatives k1_* to k6_*, the new state z0,
@@ -269,6 +285,7 @@ def _attempt(dim, stage):
     z0, z1, .... fresh is False where the stage shares the time of the one
     before, as the FSAL pair's last two do (c6 = c7 = 1), so what depends
     on the time alone is still bound. The default stage calls rhs(t, z).
+    larger is the form of max(abs(a), abs(b)) in the error scale.
     """
     comps = range(dim)
     src = []
@@ -278,8 +295,8 @@ def _attempt(dim, stage):
                      c != _C[s - 1])
     # square as r * r, which is correctly rounded; the C pow() behind r ** 2
     # can be 1 ulp off, and a 1-ulp err moves the step size
-    src += [f"r{i} = {_weighted(_E, i)} / "
-            f"(abs_tol + rel_tol * max(abs(y{i}), abs(z{i})))" for i in comps]
+    src += [f"r{i} = {_weighted(_E, i)} / (abs_tol + rel_tol * "
+            f"{larger.format(a=f'y{i}', b=f'z{i}')})" for i in comps]
     squares = " + ".join(f"r{i} * r{i}" for i in comps)
     return src + [f"err = sqrt(({squares}) * {1.0 / dim!r})"]
 
@@ -309,19 +326,23 @@ def step_source(dim):
 
 
 # integrate's accept/reject loop (Hairer, Norsett and Wanner, Solving ODEs
-# I, II.4) around the attempt, which stands in for {attempt}. max, like
-# np.fmax in step_lanes, ignores a NaN err, so a step whose rhs is not a
-# number shrinks until it underflows.
+# I, II.4) around the attempt, which stands in for {attempt}. The step
+# control is written in conditional expressions, each picking the operand
+# that min(h, max_step, t1 - t), max(min_factor, q) and min(max_factor, q)
+# pick: the first of equal values, and min_factor where q is not a number.
+# So, as np.fmax in step_lanes, a NaN err is ignored, and a step whose rhs
+# is not a number shrinks until it underflows.
 _SOLVE = """\
 def solve(rhs, t, t1, y, f, h, h_min, max_steps, rel_tol, abs_tol):
     {y} = y
     {k0} = f
     ts = [t]
-    ys = list(y)
+    ys = [*y]
     ks = []
-    rejected = 0
+    steps = rejected = 0
     while t < t1:
-        h = min(h, {max_step!r}, t1 - t)
+        h = {max_step!r} if {max_step!r} < h else h
+        h = _d if (_d := t1 - t) < h else h
         if h < h_min:
             raise StepSizeError(f"step size underflow at t = {{t:.6g}} ms", t)
         while True:
@@ -329,19 +350,22 @@ def solve(rhs, t, t1, y, f, h, h_min, max_steps, rel_tol, abs_tol):
             if err <= 1.0:
                 break
             rejected += 1
-            h *= max({min_factor!r}, {safety!r} * err ** -0.2)
+            h *= (_q if (_q := {safety!r} * err ** -0.2) > {min_factor!r}
+                  else {min_factor!r})
             if h < h_min:
                 raise StepSizeError(
                     f"step size underflow at t = {{t:.6g}} ms", t)
-        factor = {max_factor!r} if err == 0.0 else min(
-            {max_factor!r}, {safety!r} * err ** -0.2)
+        factor = {max_factor!r} if err == 0.0 else (
+            _q if (_q := {safety!r} * err ** -0.2) < {max_factor!r}
+            else {max_factor!r})
         t += h
         ts.append(t)
         ys += {z}
         ks += {k}
 {handover}
         h *= factor
-        if len(ts) > max_steps:
+        steps += 1
+        if steps >= max_steps:
             raise StepSizeError(
                 f"step budget ({{max_steps}}) exceeded at t = {{t:.6g}} ms; "
                 "the problem is far stiffer than this engine expects", t)
@@ -365,7 +389,7 @@ def solve_source(dim, stage=_rhs_stage):
     return _SOLVE.format(
         y=_names("y{i}", dim), k0=_names("k0_{i}", dim),
         z=_names("z{i}", dim), k=_names("k{s}_{i}", dim, range(7)),
-        attempt=_indented(_attempt(dim, stage), 3),
+        attempt=_indented(_attempt(dim, stage, _LARGER_FLOAT), 3),
         handover=_indented([f"y{i} = z{i}" for i in range(dim)]
                            + [f"k0_{i} = k6_{i}" for i in range(dim)], 2),
         max_step=MAX_STEP, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR,

@@ -13,11 +13,12 @@ for the equilibria and landscapes, an imposed path for the driven models
 the path's rotation field), the biological slow equations for the autonomous
 models, a numpy form for the equilibrium scan, for the equilibrium branch
 that the bifurcation curves are traced on and for the lanes of a PERIOD
-field, and a complex form whose complex step gives the Jacobian. Driven runs
-run a generated loop: integrate's accept/reject loop with the Dormand-Prince
-step inlined, and the balance and the forcing inlined into every stage, so
-a step makes no rhs call. The readable six-current reference lives in
-tests/oracles.py, apart from this code.
+field, and a complex form whose complex step gives the Jacobian. Every
+sigmoid stands inline in the tuple and array forms. Driven runs run a
+generated loop: integrate's accept/reject loop with the Dormand-Prince step
+inlined, and the balance, the path's closed form and the forcing inlined
+into every stage, so a step makes no Python call. The readable six-current
+reference lives in tests/oracles.py, apart from this code.
 
 State is passed as plain tuples of floats, which is the fastest
 representation for systems of this size.
@@ -47,16 +48,22 @@ _SIG = ("((0.0 if _x > 700.0 else (_e := exp(-_x)) / (1.0 + _e))"
         " if (_x := ARG) >= 0.0 else"
         " (1.0 if _x < -700.0 else 1.0 / (1.0 + exp(_x))))")
 
+# the same logistic on numpy arrays, where expit does not overflow
+_SIG_ARRAY = "expit(-(ARG))"
+
 
 class _InlineSig(ast.NodeTransformer):
-    """Replaces every call sig(arg) by _SIG over arg."""
+    """Replaces every call sig(arg) by the expression sig, over arg."""
+
+    def __init__(self, sig):
+        self.sig = sig
 
     def visit_Call(self, node):
         self.generic_visit(node)
         if not (isinstance(node.func, ast.Name) and node.func.id == "sig"):
             return node
         return _Substitute({"ARG": node.args[0]}).visit(
-            ast.parse(_SIG, mode="eval").body)
+            ast.parse(self.sig, mode="eval").body)
 
 
 class _Substitute(ast.NodeTransformer):
@@ -71,11 +78,6 @@ class _Substitute(ast.NodeTransformer):
         if new is None:
             return node
         return ast.Name(new, node.ctx) if isinstance(new, str) else new
-
-
-def _sig_array(x):
-    # _sig on numpy arrays
-    return expit(-x)
 
 
 def _csig(x: complex) -> complex:
@@ -93,28 +95,40 @@ def phi(na: float, k_na: float) -> float:
     return na3 / (na3 + k_na * k_na * k_na)
 
 
-# The namespaces the sources of this module compile in: for the
-# integrator's tuples of floats, where sig stands inline; for numpy arrays;
-# for the complex step of the Jacobian.
+# The namespaces the sources of the package compile in: for the
+# integrator's tuples of floats, where sig stands inline as _SIG; for numpy
+# arrays, where it stands inline as _SIG_ARRAY; for the complex step of the
+# Jacobian.
 _FORMS = {
-    "tuple": {"exp": math.exp, "cosh": math.cosh, "sqrt": math.sqrt},
-    "array": {"sig": _sig_array, "cosh": np.cosh},
+    "tuple": {"exp": math.exp, "cosh": math.cosh, "sqrt": math.sqrt,
+              "cos": math.cos, "sin": math.sin},
+    "array": {"expit": expit, "cosh": np.cosh, "cos": np.cos, "sin": np.sin},
     "complex": {"sig": _csig, "cosh": cmath.cosh},
 }
+_INLINE_SIG = {"tuple": _SIG, "array": _SIG_ARRAY}
+
+
+def _tree(src: str, form: str):
+    """The syntax tree of src as it compiles for form: with every sig
+    inline where the form has an expression for it."""
+    tree = ast.parse(src)
+    if form in _INLINE_SIG:
+        tree = ast.fix_missing_locations(
+            _InlineSig(_INLINE_SIG[form]).visit(tree))
+    return tree
 
 
 def _compile(src: str, form: str, name: str, **names):
     """The function name that src defines, compiled in the namespace of
     form and the given names."""
-    tree = ast.parse(src)
     namespace = dict(_FORMS[form], phi=phi, **names)
-    if "sig" not in namespace:
-        tree = ast.fix_missing_locations(_InlineSig().visit(tree))
-    exec(compile(tree, f"<{name}, {form}>", "exec"), namespace)
+    exec(compile(_tree(src, form), f"<{name}, {form}>", "exec"), namespace)
     return namespace[name]
 
 
-_sig = _compile("def _sig(x):\n    return sig(x)\n", "tuple", "_sig")
+_SIG_FUNCTION = "def _sig(x):\n    return sig(x)\n"
+_sig = _compile(_SIG_FUNCTION, "tuple", "_sig")
+_sig_array = _compile(_SIG_FUNCTION, "array", "_sig")
 
 
 def gate_inf(v: float, theta: float, sigma: float) -> float:
@@ -160,11 +174,14 @@ def s_slaved(v: float, p: ModelParams) -> float:
 # CPython, and returns the function. The code compiles once per source and
 # form (_maker); parameters bind per call of make, so a new parameter set
 # costs a closure, not a compile. The forms: tuples of floats, with sig
-# inline as _SIG and math.cosh; numpy arrays, with _sig_array and np.cosh;
-# complex numbers for the Jacobian, with _csig and cmath.cosh. _driven_solver
-# inlines the function bodies into the stages of integrate's loop. The
-# operation order in these sources fixes driven and autonomous runs to the
-# last digit; reordering it changes every stored trace.
+# inline as _SIG and math.cosh; numpy arrays, with sig inline as
+# _SIG_ARRAY and np.cosh, so the lane core makes no Python call per gate;
+# complex numbers for the Jacobian, with _csig and cmath.cosh. Each gate's
+# argument is computed once, for its sigmoid and its cosh alike.
+# _driven_solver inlines the function bodies, and the path's closed form
+# (paths.py), into the stages of integrate's loop. The operation order in
+# these sources fixes driven and autonomous runs to the last digit;
+# reordering it changes every stored trace.
 
 _FAST2 = """
 def make(p):
@@ -188,7 +205,8 @@ def make(p):
                        + g_syn * si / (si + k) * (v - e_syn)
                        + a_can * (v - e_can)
                        + i_pump)
-        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_sn * 0.5))
+        x_n = (v - th_n) * inv_sn
+        dn = (sig(x_n) - n) / (t_n / cosh(x_n * 0.5))
         return dv, dn
 
     return core
@@ -214,9 +232,12 @@ def make(p):
                        + g_syn * s * (v - e_syn)
                        + a_can * (v - e_can)
                        + i_pump)
-        dn = (sig((v - th_n) * inv_sn) - n) / (t_n / cosh((v - th_n) * inv_sn * 0.5))
-        dm = (sig((v - th_m) * inv_sm) - m) / (t_m / cosh((v - th_m) * inv_sm * 0.5))
-        dh = (sig((v - th_h) * inv_sh) - h) / (t_h / cosh((v - th_h) * inv_sh * 0.5))
+        x_n = (v - th_n) * inv_sn
+        x_m = (v - th_m) * inv_sm
+        x_h = (v - th_h) * inv_sh
+        dn = (sig(x_n) - n) / (t_n / cosh(x_n * 0.5))
+        dm = (sig(x_m) - m) / (t_m / cosh(x_m * 0.5))
+        dh = (sig(x_h) - h) / (t_h / cosh(x_h * 0.5))
         ds = ((1.0 - s) * sig((v - th_s) * inv_ss) - k * s) * inv_tau_s
         return dv, dn, dm, dh, ds
 
@@ -247,7 +268,7 @@ def _maker(src: str, form: str):
 
 
 def _parts(src: str):
-    """(prelude, arguments, body, results) of a source's make(p): the
+    """(prelude, arguments, body, results) of a source's make: the
     statements that bind the parameters, and the inner function's argument
     names, statements and returned names."""
     make = ast.parse(src).body[0]
@@ -257,27 +278,32 @@ def _parts(src: str):
             [e.id for e in ret.value.elts])
 
 
+def _stored(stmts):
+    # the names the statements assign to
+    return {node.id for stmt in stmts for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
 def _inline(src: str, args, results):
     """The inner function's statements as source lines, its arguments and
     results renamed to the given names and its other locals suffixed with
     an underscore, so they cannot collide with the step's names."""
     _, names, body, returned = _parts(src)
-    stored = {node.id for stmt in body for node in ast.walk(stmt)
-              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
-    mapping = {name: name + "_" for name in stored}
+    mapping = {name: name + "_" for name in _stored(body)}
     mapping.update(zip(names, args))
     mapping.update(zip(returned, results))
     return [ast.unparse(_Substitute(mapping).visit(stmt)) for stmt in body]
 
 
-@functools.cache
-def _driven_solver(balance: str):
-    """integrate's loop for a fast subsystem driven along a path, compiled
-    once per balance: make(p, point) -> solve(rhs, t, t1, y, f, h, h_min,
-    max_steps, rel_tol, abs_tol), like integrate's generic loop, which it
-    matches bit for bit. Each stage inlines the balance; each distinct stage
-    time inlines the forcing, _SLOW_CURRENTS at point(t). rhs is not
-    called."""
+def _driven_source(balance: str, path: str) -> str:
+    """Source of integrate's loop for a fast subsystem driven along a path,
+    given the balance and the path's closed_form_source: make(p, path) ->
+    solve(rhs, t, t1, y, f, h, h_min, max_steps, rel_tol, abs_tol), like
+    integrate's generic loop, which it matches bit for bit. Each stage
+    inlines the balance; each distinct stage time inlines the path's point
+    at that time, bound to tau first, and the forcing, _SLOW_CURRENTS, at
+    that point. The preludes bind the parameters and the path's constants
+    once per run. Neither rhs nor the path is called."""
     args = _parts(balance)[1]
     dim = len(args) - 2
     forcing = args[dim:]
@@ -286,16 +312,31 @@ def _driven_solver(balance: str):
     def stage(t, k, fresh):
         lines = []
         if fresh:
-            lines += [f"ca, na = point({t})"]
+            lines += [f"tau = {t}"]
+            lines += _inline(path, ["tau"], ["ca", "na"])
             lines += _inline(_SLOW_CURRENTS, ["ca", "na"], forcing)
         return lines + _inline(balance, z + forcing, k)
 
-    prelude = "".join(ast.unparse(stmt) + "\n"
-                      for src in (_SLOW_CURRENTS, balance)
+    sources = (path, _SLOW_CURRENTS, balance)
+    # the preludes share one scope with the loop: no name may be bound twice
+    seen = {node.id for node in ast.walk(ast.parse(solve_source(dim)))
+            if isinstance(node, ast.Name)} | {"tau", "ca", "na"}
+    for bound in (_stored(_parts(src)[0]) for src in sources):
+        if seen & bound:
+            raise ValueError(
+                f"the driven loop would bind {sorted(seen & bound)} twice")
+        seen |= bound
+    prelude = "".join(ast.unparse(stmt) + "\n" for src in sources
                       for stmt in _parts(src)[0])
     body = textwrap.indent(prelude + solve_source(dim, stage), "    ")
-    return _compile(f"def make(p, point):\n{body}\n    return solve\n",
-                    "tuple", "make", StepSizeError=StepSizeError)
+    return f"def make(p, path):\n{body}\n    return solve\n"
+
+
+@functools.cache
+def _driven_solver(balance: str, path: str):
+    # _driven_source compiled, once per balance and path source
+    return _compile(_driven_source(balance, path), "tuple", "make",
+                    StepSizeError=StepSizeError)
 
 
 def can_calcium(a_can, p: ModelParams):
@@ -344,10 +385,11 @@ class _FastSubsystem:
         closed form at time t. This is what run_driven integrates.
 
         The rhs carries its fused loop as rhs.solve, which integrate runs in
-        place of its generic one: the balance and the forcing inlined into
-        every stage, the forcing evaluated once per distinct stage time. It
-        gives the generic loop's bits, so a wrapped rhs, which loses the
-        attribute, integrates to the same trajectory.
+        place of its generic one: the balance, the path's closed form and
+        the forcing inlined into every stage, the path point and the forcing
+        evaluated once per distinct stage time. It gives the generic loop's
+        bits, so a wrapped rhs, which loses the attribute, integrates to the
+        same trajectory.
         """
         core, slow_currents = self._core, self._slow_currents
         point = path.closed_form()
@@ -355,7 +397,8 @@ class _FastSubsystem:
         def rhs(t, y):
             return core(*y, *slow_currents(*point(t)))
 
-        rhs.solve = _driven_solver(self._balance)(self.params, point)
+        rhs.solve = _driven_solver(self._balance, path.closed_form_source)(
+            self.params, path)
         return rhs
 
     def lane_rhs(self, slows):

@@ -4,21 +4,46 @@ A path is an ellipse with principal axes along the coordinate axes, traced
 counter-clockwise at constant angular speed eps. It can be evaluated in
 closed form or integrated as the linear rotation field EllipsePath.rhs; both
 views agree and the quadratic form Q below is conserved along the flow.
-The closed form is written once, as the function EllipsePath.closed_form
-returns over the path's constants; EllipsePath.point evaluates it at one
-time. Driven runs use the closed form: they integrate only the fast
-variables, and the driven loop (model.py) calls a closed_form function
-taken once per run at each distinct stage time, so it reads no path
-attribute. The rotation field remains for the full-state
-driven rhs of the fast subsystems, and it gives the path's velocity at any
-point.
+The closed form is written once, as source (_CLOSED_FORM, in the style of
+model.py's sources): make(path) binds the path's constants and returns
+point(t). EllipsePath.closed_form compiles it for floats (math cos and sin)
+or numpy arrays of times, and EllipsePath.point evaluates it. Driven runs
+use the closed form: they integrate only the fast variables, and the
+driven loop (model.py) inlines the body of point at each distinct stage
+time, with the constants bound once per run, so a step reads no path
+attribute and makes no call to the path. The rotation field remains for
+the full-state driven rhs of the fast subsystems, and it gives the path's
+velocity at any point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .model import _maker
 from .params import InvalidParameterError
+
+# The closed-form position, counter-clockwise from t = 0. The ellipse's
+# constants bind once per path; the driven loop inlines the body of point
+# with t the stage time, so its operation order fixes every driven trace.
+_CLOSED_FORM = """
+def make(path):
+    eps, ca_c, na_c = path.eps, path.ca_c, path.na_c
+    dca = path.ca0 - ca_c
+    dna = path.na0 - na_c
+    d_dna, dca_d = path.d * dna, dca / path.d
+
+    def point(t):
+        c = cos(eps * t)
+        s = sin(eps * t)
+        ca = ca_c + dca * c - d_dna * s
+        na = na_c + dna * c + dca_d * s
+        return ca, na
+
+    return point
+"""
 
 
 @dataclass(frozen=True)
@@ -55,34 +80,21 @@ class EllipsePath:
     def period(self) -> float:
         return 2.0 * math.pi / self.eps
 
-    def closed_form(self, cos=math.cos, sin=math.sin):
-        """The closed-form position as a function point(t), counter-clockwise
-        from t = 0, over the path's constants taken once.
+    # the source of point(t), read by the driven loop; a path class with
+    # another closed form gives its own
+    closed_form_source = _CLOSED_FORM
 
-        The driven loop calls it once per distinct stage time of every
-        step, five times a step, so it reads no attribute per call. Any
-        path whose position has a closed form can drive a run through such
-        a function. Pass np.cos and np.sin for a point(t) that takes a numpy
-        array of times.
-        """
-        eps, ca_c, na_c = self.eps, self.ca_c, self.na_c
-        dca = self.ca0 - ca_c
-        dna = self.na0 - na_c
-        d_dna, dca_d = self.d * dna, dca / self.d
+    def closed_form(self, form: str = "tuple"):
+        """The closed-form position as a function point(t) over the path's
+        constants taken once: for float times, or with form="array" for a
+        numpy array of times."""
+        return _maker(self.closed_form_source, form)(self)
 
-        def point(t):
-            c = cos(eps * t)
-            s = sin(eps * t)
-            return (ca_c + dca * c - d_dna * s, na_c + dna * c + dca_d * s)
-
-        return point
-
-    def point(self, t, cos=math.cos, sin=math.sin):
-        """Closed-form position at time t (counter-clockwise from t = 0).
-
-        Pass np.cos and np.sin to evaluate a numpy array of times.
-        """
-        return self.closed_form(cos, sin)(t)
+    def point(self, t):
+        """Closed-form position at time t, a float or a numpy array of
+        times."""
+        return self.closed_form("array" if isinstance(t, np.ndarray)
+                                else "tuple")(t)
 
     def rhs(self, slow):
         """Rotation field whose solutions are this family of ellipses."""

@@ -148,7 +148,7 @@ def test_landscape_bad_input_exit_codes(tmp_path, capsys, args, code):
 
 
 def _fit_config(tmp_path, curves2, fig4_d1_trace, extra="", budget=12,
-                d_bounds="0.7:1.4"):
+                d_bounds="0.7:1.4", seed=5):
     from burstlab.features import burst_features
     curves_csv = tmp_path / "curves.csv"
     write_curves(curves_csv, *curves2)
@@ -160,7 +160,7 @@ def _fit_config(tmp_path, curves2, fig4_d1_trace, extra="", budget=12,
         f"fit.target = {target_csv}\n"
         f"fit.bounds.d = {d_bounds}\n"
         f"fit.budget = {budget}\n"
-        "fit.seed = 5\n" + extra)
+        f"fit.seed = {seed}\n" + extra)
     return cfg, curves_csv
 
 
@@ -192,12 +192,14 @@ _CENTRED_D = ("fit.free = d\npath.ca_c = 0.15\npath.na_c = 5.85\n"
 @pytest.mark.parametrize("keys, extra, code", [
     ({"budget": 3}, _CENTRED_D, cli.EXIT_USAGE),
     ({"budget": "inf"}, _CENTRED_D, cli.EXIT_USAGE),
+    ({"budget": 7.9, "seed": 5.7}, _CENTRED_D, cli.EXIT_USAGE),
+    ({"seed": 5.7}, _CENTRED_D, cli.EXIT_USAGE),
     ({"d_bounds": "-1:2"}, _CENTRED_D, cli.EXIT_USAGE),
     # every phase-1 path lies left of both curves and crosses none
     ({"budget": 9}, "fit.bounds.ca0 = -0.52:-0.51\npath.ca_c = -0.5\n"
      "path.na_c = 5.85\npath.eps = 0.004\n", cli.EXIT_CLASSIFICATION),
-], ids=["budget_too_small", "budget_not_finite", "d_bounds_not_positive",
-        "no_db_point"])
+], ids=["budget_too_small", "budget_not_finite", "budget_and_seed_fractional",
+        "seed_fractional", "d_bounds_not_positive", "no_db_point"])
 def test_fit_bad_problem_exit_codes(tmp_path, curves2, fig4_d1_trace, keys,
                                     extra, code):
     cfg, curves_csv = _fit_config(tmp_path, curves2, fig4_d1_trace, extra,

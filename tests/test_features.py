@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -228,7 +229,7 @@ def test_driven_slow_columns_follow_the_path(name, request):
     trace = request.getfixturevalue(name)
     path, traj = trace.path, trace.trajectory
     assert traj.t1 == trace.t_end
-    exact = np.column_stack(path.point(traj.ts, np.cos, np.sin))
+    exact = np.column_stack(path.point(traj.ts))
     np.testing.assert_allclose(traj.ys[:, -2:], exact, rtol=0.0, atol=1e-14)
     q = path.conserved((traj.ys[:, -2], traj.ys[:, -1]))
     assert np.abs(q - q[0]).max() / q[0] <= 1e-12
@@ -239,13 +240,23 @@ def test_driven_slow_columns_follow_the_path(name, request):
         assert e.y == tuple(traj.sample(e.t))
 
 
+@pytest.fixture(scope="module")
+def off_centre_trace(reduced, curves2):
+    # fig5's eps = 0.006 path with its start moved off the centre line,
+    # na0 != na_c, so every term of the closed form counts
+    path = dataclasses.replace(PRESETS["fig5"].paths[1], na0=6.35)
+    return run_driven(reduced, path, *curves2)
+
+
 @pytest.mark.parametrize("name,cls,params,curves", [
     ("fig4_d1_trace", ReducedFast, REDUCED4D, "curves2"),
-    ("fig3_d2_trace", FullFast, FULL7D, "curves5")])
+    ("fig3_d2_trace", FullFast, FULL7D, "curves5"),
+    ("off_centre_trace", ReducedFast, REDUCED4D, "curves2")])
 def test_fused_step_is_the_generic_step(name, cls, params, curves, request):
     # run_driven runs path_rhs's fused loop; the same run with the rhs
     # wrapped in a lambda, which carries no loop, takes integrate's generic
-    # loop and must give the same bits
+    # loop and must give the same bits, on both models and on a path whose
+    # start is off its centre line
     trace = request.getfixturevalue(name)
     fast = cls(params)
     path_rhs = fast.path_rhs

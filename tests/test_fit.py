@@ -258,12 +258,38 @@ def test_non_db_trials_do_not_integrate(straddling_problem, small_problem,
     monkeypatch.setattr(fit, "run_driven", counted)
     result = fit_path(straddling_problem, workers=1)
     assert any(not tr.db for tr in result.trials)
-    # one driven run per DB-windowed trial, in the order of the log
-    assert runs == [straddling_problem.make_path(tr.values)
-                    for tr in result.trials if tr.db]
+    # one driven run per distinct DB-windowed point, in the order of the
+    # log; a repeated point is not run again
+    db_points = [tr.values for tr in result.trials if tr.db]
+    assert runs == [straddling_problem.make_path(values)
+                    for i, values in enumerate(db_points)
+                    if values not in db_points[:i]]
+    assert len(runs) < len(db_points)
     runs.clear()
     trial = fit._evaluate(small_problem, {"d": 1.2, "ca0": 0.04})
     assert runs == []
     assert (trial.status, trial.sequence) == \
         ("not_db", "crossing sequence SNIC+,SNIC- is not DB")
     assert trial.distance == PENALTY and not trial.db
+
+
+def test_fit_evaluates_each_point_once(small_problem, monkeypatch):
+    # clipped to the box, Nelder-Mead asks again for points it has; a
+    # repeat counts against the budget and is logged, timed as a lookup,
+    # but not evaluated again
+    calls = []
+
+    def evaluate(problem, values):
+        calls.append(values)
+        # the minimum lies past the box's upper corner
+        distance = (values["d"] - 5.0) ** 2 + (values["ca0"] - 1.0) ** 2
+        return Trial(values=values, distance=distance, db=True,
+                     sequence="DB", status="db", seconds=1.0)
+
+    monkeypatch.setattr(fit, "_evaluate", evaluate)
+    result = fit_path(small_problem, workers=1)
+    points = {tuple(sorted(tr.values.items())): tr for tr in result.trials}
+    assert len(calls) == len(points) < len(result.trials)
+    for tr in result.trials:
+        assert tr == points[tuple(sorted(tr.values.items()))]
+    assert sum(tr.seconds == 1.0 for tr in result.trials) == len(calls)

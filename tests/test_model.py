@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import math
 import pickle
 import struct
@@ -13,10 +15,10 @@ from oracles import (currents, fd_jacobian, gate_tau_dv, jac_fast4,
 import burstlab
 from burstlab import FULL7D, REDUCED4D, EllipsePath, InvalidParameterError
 from burstlab.bifurcation import DEFAULT_CA_WINDOW, DEFAULT_NA_RANGE
-from burstlab.integrate import integrate
+from burstlab.integrate import integrate, solve_source
 from burstlab import model
-from burstlab.model import (FullFast, can_activation, can_calcium, gate_inf,
-                            gate_tau, phi, s_slaved)
+from burstlab.model import (FullFast, ReducedFast, can_activation,
+                            can_calcium, gate_inf, gate_tau, phi, s_slaved)
 
 
 def _sig_reference(x):
@@ -261,24 +263,70 @@ def test_every_rhs_form_matches_oracle(model, request):
 @pytest.mark.parametrize("model", ["reduced", "full"])
 def test_driven_kernel_evaluates_the_forcing_once_per_stage_time(model,
                                                                   request):
-    # path_rhs reads the path through closed_form() alone; counting its
-    # calls shows the fused step evaluates the forcing at the five distinct
-    # stage times of each attempt, stages 6 and 7 sharing t + h
+    # the driven loop inlines the path's closed-form source; a source that
+    # calls a counting hook shows the fused step evaluates the path point
+    # at the five distinct stage times of each attempt, stages 6 and 7
+    # sharing t + h
     fast = request.getfixturevalue(model)
-    point = EllipsePath.centered(0.3, 5.6, 1.5, 0.1, 0.006).closed_form()
     times = []
+    source = EllipsePath.closed_form_source.replace(
+        "    def point(t):\n",
+        "    count = path.count\n\n    def point(t):\n        count(t)\n")
+    assert source != EllipsePath.closed_form_source
 
-    class CountedPath:
-        def closed_form(self):
-            def counted(t):
-                times.append(t)
-                return point(t)
-            return counted
+    class CountedPath(EllipsePath):
+        closed_form_source = source
+        count = staticmethod(times.append)
 
-    traj = integrate(fast.path_rhs(CountedPath()), fast.slaved(-60.0),
-                     (0.0, 200.0))
+    counted, plain = (
+        integrate(fast.path_rhs(cls.centered(0.3, 5.6, 1.5, 0.1, 0.006)),
+                  fast.slaved(-60.0), (0.0, 200.0))
+        for cls in (CountedPath, EllipsePath))
     # f at t0 and initial_step's trial step are rhs calls
-    assert len(times) == 2 + 5 * (traj.stats.steps + traj.stats.rejected)
+    assert len(times) == 2 + 5 * (counted.stats.steps + counted.stats.rejected)
+    assert np.array_equal(counted.ys, plain.ys)
+
+
+def _calls(tree):
+    # the names called inside the function solve of a syntax tree
+    solve = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    return {call.func.id if isinstance(call.func, ast.Name) else
+            call.func.attr for call in ast.walk(solve)
+            if isinstance(call, ast.Call)}
+
+
+@pytest.mark.parametrize("model_cls", [ReducedFast, FullFast])
+def test_driven_loop_calls_only_elementary_functions(model_cls):
+    # the balance, the forcing, every sigmoid, the path and the step
+    # control stand inline: a driven step calls no Python function, and
+    # the generic loop calls only the rhs
+    src = model._driven_source(model_cls._balance,
+                               EllipsePath.closed_form_source)
+    assert _calls(model._tree(src, "tuple")) == {
+        "exp", "cosh", "cos", "sin", "sqrt", "append", "StepSizeError"}
+    assert _calls(ast.parse(solve_source(model_cls.dim))) == {
+        "rhs", "sqrt", "append", "StepSizeError"}
+
+
+def test_driven_loop_rejects_a_path_prelude_that_rebinds_a_name():
+    # the path's constants share one scope with the balance's parameters
+    # and the loop: a path binding k, the balance's, would change the run
+    source = EllipsePath.closed_form_source.replace(
+        "eps, ca_c, na_c = path.eps", "k, ca_c, na_c = path.eps")
+    with pytest.raises(ValueError, match=r"\['k'\] twice"):
+        model._driven_source(model._FAST2, source)
+
+
+def test_driven_loop_compiles_once_per_balance_and_path_class(reduced):
+    # a new path or a new parameter set binds in the prelude; the loop's
+    # code is shared
+    paths = [EllipsePath.centered(0.3, 5.6, 1.5, 0.1, 0.006),
+             EllipsePath(0.1, 5.1, 1.0, -0.1, 5.3, 0.009)]
+    models = (reduced, ReducedFast(dataclasses.replace(REDUCED4D, g_l=2.9)))
+    codes = {fast.path_rhs(path).solve.__code__ for path in paths
+             for fast in models}
+    assert len(codes) == 1
 
 
 @pytest.mark.parametrize("model", ["reduced", "full"])
