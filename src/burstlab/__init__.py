@@ -2,7 +2,7 @@
 
 from .params import ModelParams, FULL7D, REDUCED4D, InvalidParameterError
 from .paths import EllipsePath
-from .model import ReducedFast, FullFast, gate_inf, gate_tau
+from .model import ReducedFast, FullFast
 from .integrate import detect_events, Trajectory, EventRecord, StepSizeError
 from .bifurcation import (Equilibrium, BifCurve, find_equilibria, eigen,
                           trace_fold_curve, trace_hopf_curve, verify_snic,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "FULL7D", "REDUCED4D", "InvalidParameterError",
     "EllipsePath",
-    "ReducedFast", "FullFast", "gate_inf", "gate_tau",
+    "ReducedFast", "FullFast",
     "detect_events", "Trajectory", "EventRecord",
     "StepSizeError",
     "Equilibrium", "BifCurve", "find_equilibria", "eigen",

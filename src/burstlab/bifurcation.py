@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import can_activation, can_calcium
+from .model import can_calcium
 
 log = logging.getLogger(__name__)
 
@@ -284,7 +284,7 @@ def _fold_point(fast, na: float) -> Optional[tuple]:
 
     v = brentq(det, _V_GRID[i - 1], _V_GRID[i + 1], xtol=_V_TOL)
     a_fold = fast.can_branch(v, na)
-    a_lo, a_hi = sorted(fast.params.g_can * can_activation(ca, fast.params)
+    a_lo, a_hi = sorted(fast._slow_currents(ca, na)[0]
                         for ca in DEFAULT_CA_WINDOW)
     if not a_lo <= a_fold <= a_hi:
         return None

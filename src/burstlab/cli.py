@@ -16,9 +16,9 @@ from .bifurcation import (ContinuationError, read_curves, trace_fold_curve,
                           trace_hopf_curve, write_curves)
 from .config import (UsageError, check_keys, get_float, get_int, get_span,
                      load_config)
-from .features import (DEFAULT_WEIGHTS, ClassificationError, FeatureVector,
-                       burst_features, run_autonomous, run_driven,
-                       segment_stages)
+from .features import (AUTONOMOUS_SLOW0, DEFAULT_WEIGHTS, START_V,
+                       ClassificationError, FeatureVector, burst_features,
+                       run_autonomous, run_driven, segment_stages)
 from .fit import PATH_PARAMS, FitProblem, fit_path
 from .integrate import StepSizeError, integrate
 from .landscape import PERIOD, RE_LAMBDA, GridSpec, build_field, extract_contours
@@ -30,6 +30,7 @@ EXIT_NUMERICAL = 3
 EXIT_CLASSIFICATION = 4
 
 PATH_KEYS = ("ca_c", "na_c", "d", "ca0", "na0", "eps")
+MODELS = ("full7d", "reduced4d", "driven7d", "driven4d")
 
 _SIM_KEYS = tuple(f"path.{k}" for k in PATH_KEYS) + (
     "model", "sim.t_span", "sim.rel_tol", "sim.abs_tol", "out.trajectory")
@@ -127,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default="")
-    p.add_argument("--model",
-                   choices=("full7d", "reduced4d", "driven7d", "driven4d"))
+    p.add_argument("--model", choices=MODELS)
     for key in PATH_KEYS:
         p.add_argument(f"--{key}", type=float, default=None)
     p.add_argument("--rel_tol", type=float, default=None)
@@ -180,22 +180,27 @@ def _curves(path: str, fast):
         raise UsageError(f"curve file lacks {exc} rows") from None
 
 
+def _model(cfg: dict) -> str:
+    model = cfg.get("model", "")
+    if model not in MODELS:
+        raise UsageError(f"model must be set to one of {', '.join(MODELS)} "
+                         f"(got {model!r})")
+    return model
+
+
 def cmd_simulate(args) -> int:
     cfg = _merged_config(args, _SIM_KEYS)
-    model = cfg.get("model", "")
-    if model not in ("full7d", "reduced4d", "driven7d", "driven4d"):
-        raise UsageError(f"model must be set to one of full7d, reduced4d, "
-                         f"driven7d, driven4d (got {model!r})")
+    model = _model(cfg)
     fast = figures.model_for(model)
     rel_tol, abs_tol = _tols(cfg)
     t_span = get_span(cfg, "sim.t_span")
     if model.startswith("driven"):
         path = _path_from(cfg)
         rhs = fast.driven_rhs(path)
-        y0 = fast.slaved(-60.0) + (path.ca0, path.na0)
+        y0 = fast.slaved(START_V) + (path.ca0, path.na0)
     else:
         rhs = fast.autonomous_rhs()
-        y0 = fast.slaved(-60.0) + (0.1, 5.0)
+        y0 = fast.slaved(START_V) + AUTONOMOUS_SLOW0
     traj = integrate(rhs, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
     out = cfg.get("out.trajectory", args.out)
     traj.to_csv(out, columns=figures._state_columns(model))
@@ -259,9 +264,7 @@ def cmd_landscape(args) -> int:
 
 def cmd_features(args) -> int:
     cfg = _merged_config(args, _SIM_KEYS)
-    model = cfg.get("model", "")
-    if model not in ("driven7d", "driven4d", "full7d", "reduced4d"):
-        raise UsageError(f"model must be set (got {model!r})")
+    model = _model(cfg)
     fast = figures.model_for(model)
     rel_tol, abs_tol = _tols(cfg)
     snic, ah = _curves(args.curves, fast)

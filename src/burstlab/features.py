@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 SPIKE_THRESHOLD = -20.0     # mV; spike peaks separate cleanly from
 SPIKE_REFRACTORY = 2.0      # subthreshold oscillation above this level
 ENVELOPE_MARGIN = 5.0       # mV; the (iii)/(iv) split, see segment_stages
+START_V = -60.0             # mV; v of a start state with slaved gates
 AUTONOMOUS_SLOW0 = (0.1, 5.0)   # (Ca, Na) an autonomous run starts from
 DEBOUNCE_DEPTH = 0.14       # of the SNIC-AH separation, see run_autonomous
 _LABELS = ("SNIC", "AH")
@@ -152,7 +153,7 @@ def _rest_state(fast, slow):
     for eq in eqs:
         if eq.stable:
             return eq.state
-    return fast.slaved(-60.0)
+    return fast.slaved(START_V)
 
 
 @dataclass(frozen=True)
@@ -226,9 +227,9 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
 def _autonomous_run(fast, snic, ah, t_transient, t_budget, rel_tol, abs_tol):
     """The autonomous model past a warm-up of t_transient ms, with every curve
     crossing of the next t_budget ms: (Trajectory, events). The run starts
-    from the gates slaved at -60 mV and (Ca, Na) = AUTONOMOUS_SLOW0."""
+    from the gates slaved at START_V and (Ca, Na) = AUTONOMOUS_SLOW0."""
     rhs = fast.autonomous_rhs()
-    warm = integrate(rhs, fast.slaved(-60.0) + AUTONOMOUS_SLOW0,
+    warm = integrate(rhs, fast.slaved(START_V) + AUTONOMOUS_SLOW0,
                      (0.0, t_transient), rel_tol=rel_tol, abs_tol=abs_tol)
     fns, labels = crossing_events(snic, ah)
     return detect_events(rhs, tuple(warm.ys[-1]),
@@ -240,7 +241,7 @@ def run_autonomous(fast, snic: BifCurve, ah: BifCurve,
                    t_transient: float = 2000.0, t_budget: float = 8000.0,
                    rel_tol: float = 1e-8, abs_tol: float = 1e-8) -> BurstTrace:
     """Simulate the autonomous model from (Ca, Na) = AUTONOMOUS_SLOW0, gates
-    slaved at -60 mV, and cut out one full burst cycle.
+    slaved at START_V, and cut out one full burst cycle.
 
     The biological slow variables wobble with every spike, so the orbit can
     dance back and forth across a curve near a genuine crossing. Crossing

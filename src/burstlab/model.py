@@ -1,24 +1,25 @@
-"""Gating functions, the current balance and the right-hand sides of the
-bursting models.
+"""The current balance, the gate-slaved states and the right-hand sides of
+the bursting models.
 
 Two fast subsystems are implemented: the five-variable one with state
 (v, n, m, h, s) and its two-variable quasi-steady-state reduction with state
 (v, n), obtained by setting m = m_inf(v), s = s_inf(v)/(s_inf(v) + k) and
 h = 1 - 1.08 n. The slow pair (Ca, Na) enters each fast subsystem only
 through the CAN conductance and the pump current. So each subsystem's current
-balance is written once, as source, and so is the map from (Ca, Na) to those
-two numbers. Every form is compiled or derived from them: frozen (Ca, Na)
-for the equilibria and landscapes, an imposed path for the driven models
-(the fast state alone against the path's closed form, or the full state with
-the path's rotation field), the biological slow equations for the autonomous
+balance is written once, as source, and so are its gate-slaved state, whose
+voltages carry the equilibria, and the map from (Ca, Na) to those two
+numbers. Every form is compiled or derived from them: frozen (Ca, Na) for
+the equilibria and landscapes, an imposed path for the driven models (the
+fast state alone against the path's closed form, or the full state with the
+path's rotation field), the biological slow equations for the autonomous
 models, a numpy form for the equilibrium scan, for the equilibrium branch
 that the bifurcation curves are traced on and for the lanes of a PERIOD
 field, and a complex form whose complex step gives the Jacobian. Every
-sigmoid stands inline in the tuple and array forms. Driven runs run a
-generated loop: integrate's accept/reject loop with the Dormand-Prince step
-inlined, and the balance, the path's closed form and the forcing inlined
-into every stage, so a step makes no Python call. The readable six-current
-reference lives in tests/oracles.py, apart from this code.
+sigmoid stands inline in all three forms. Driven runs run a generated loop:
+integrate's accept/reject loop with the Dormand-Prince step inlined, and the
+balance, the path's closed form and the forcing inlined into every stage, so
+a step makes no Python call. The readable six-current reference lives in
+tests/oracles.py, apart from this code.
 
 State is passed as plain tuples of floats, which is the fastest
 representation for systems of this size.
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.special import expit
 
 from .integrate import StepSizeError, solve_source
-from .params import ModelParams, InvalidParameterError
+from .params import ModelParams
 
 
 # The guarded logistic 1/(1 + e^x), overflow-safe on both sides, written once
@@ -50,6 +51,11 @@ _SIG = ("((0.0 if _x > 700.0 else (_e := exp(-_x)) / (1.0 + _e))"
 
 # the same logistic on numpy arrays, where expit does not overflow
 _SIG_ARRAY = "expit(-(ARG))"
+
+# the same logistic for the complex step of the Jacobian, guarded on the
+# real part, with exp the complex exponential
+_SIG_COMPLEX = ("(0.0 if (_x := ARG).real > 700.0 else"
+                " 1.0 if _x.real < -700.0 else 1.0 / (1.0 + exp(_x)))")
 
 
 class _InlineSig(ast.NodeTransformer):
@@ -80,104 +86,51 @@ class _Substitute(ast.NodeTransformer):
         return ast.Name(new, node.ctx) if isinstance(new, str) else new
 
 
-def _csig(x: complex) -> complex:
-    # _sig for the complex step, guarded on the real part
-    if x.real > 700.0:
-        return 0.0
-    if x.real < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + cmath.exp(x))
-
-
-def phi(na: float, k_na: float) -> float:
-    """Pump saturation Na^3 / (Na^3 + k_Na^3); phi(k_Na) = 1/2."""
-    na3 = na * na * na
-    return na3 / (na3 + k_na * k_na * k_na)
-
-
-# The namespaces the sources of the package compile in: for the
-# integrator's tuples of floats, where sig stands inline as _SIG; for numpy
-# arrays, where it stands inline as _SIG_ARRAY; for the complex step of the
-# Jacobian.
+# The namespaces the sources of the package compile in, and the expression
+# every sig stands inline as: for the integrator's tuples of floats, _SIG;
+# for numpy arrays, _SIG_ARRAY; for the complex step of the Jacobian,
+# _SIG_COMPLEX.
 _FORMS = {
     "tuple": {"exp": math.exp, "cosh": math.cosh, "sqrt": math.sqrt,
               "cos": math.cos, "sin": math.sin},
     "array": {"expit": expit, "cosh": np.cosh, "cos": np.cos, "sin": np.sin},
-    "complex": {"sig": _csig, "cosh": cmath.cosh},
+    "complex": {"exp": cmath.exp, "cosh": cmath.cosh},
 }
-_INLINE_SIG = {"tuple": _SIG, "array": _SIG_ARRAY}
+_INLINE_SIG = {"tuple": _SIG, "array": _SIG_ARRAY, "complex": _SIG_COMPLEX}
 
 
 def _tree(src: str, form: str):
     """The syntax tree of src as it compiles for form: with every sig
-    inline where the form has an expression for it."""
-    tree = ast.parse(src)
-    if form in _INLINE_SIG:
-        tree = ast.fix_missing_locations(
-            _InlineSig(_INLINE_SIG[form]).visit(tree))
-    return tree
+    inline as the form's expression for it."""
+    return ast.fix_missing_locations(
+        _InlineSig(_INLINE_SIG[form]).visit(ast.parse(src)))
 
 
 def _compile(src: str, form: str, name: str, **names):
     """The function name that src defines, compiled in the namespace of
     form and the given names."""
-    namespace = dict(_FORMS[form], phi=phi, **names)
+    namespace = dict(_FORMS[form], **names)
     exec(compile(_tree(src, form), f"<{name}, {form}>", "exec"), namespace)
     return namespace[name]
 
 
 _SIG_FUNCTION = "def _sig(x):\n    return sig(x)\n"
 _sig = _compile(_SIG_FUNCTION, "tuple", "_sig")
-_sig_array = _compile(_SIG_FUNCTION, "array", "_sig")
-
-
-def gate_inf(v: float, theta: float, sigma: float) -> float:
-    """Steady-state activation 1/(1 + exp((v - theta)/sigma)).
-
-    Strictly increasing in v for sigma < 0, decreasing for sigma > 0.
-    """
-    if sigma == 0:
-        raise InvalidParameterError("gate slope sigma must be nonzero")
-    return _sig((v - theta) / sigma)
-
-
-def gate_tau(v: float, t_x: float, theta: float, sigma: float) -> float:
-    """Voltage-dependent time constant t_x / cosh((v - theta)/(2 sigma)).
-
-    Peaks at v = theta with value t_x and is even about theta.
-    """
-    if sigma == 0:
-        raise InvalidParameterError("gate slope sigma must be nonzero")
-    if t_x <= 0:
-        raise InvalidParameterError("gate time constant must be > 0")
-    x = (v - theta) / (2.0 * sigma)
-    if abs(x) > 700.0:
-        return 0.0
-    return t_x / math.cosh(x)
-
-
-def can_activation(ca: float, p: ModelParams) -> float:
-    """Calcium gate of the CAN current, 1/(1 + exp((Ca - k_CAN)/sigma_CAN))."""
-    return _sig((ca - p.k_can) / p.sigma_can)
-
-
-def s_slaved(v: float, p: ModelParams) -> float:
-    """Fixed point of the s equation at frozen v: s_inf/(s_inf + k)."""
-    si = gate_inf(v, p.theta_s, p.sigma_s)
-    return si / (si + p.k)
 
 
 # ---------------------------------------------------------------------------
-# The current balance, written once per fast subsystem as source, and the
-# forcing (Ca, Na) -> (a_can, i_pump) likewise. Each source defines make(p),
-# which binds the parameters as closure locals, the fastest lookup in
-# CPython, and returns the function. The code compiles once per source and
-# form (_maker); parameters bind per call of make, so a new parameter set
-# costs a closure, not a compile. The forms: tuples of floats, with sig
-# inline as _SIG and math.cosh; numpy arrays, with sig inline as
-# _SIG_ARRAY and np.cosh, so the lane core makes no Python call per gate;
-# complex numbers for the Jacobian, with _csig and cmath.cosh. Each gate's
-# argument is computed once, for its sigmoid and its cosh alike.
+# The current balance and the gate-slaved state, each written once per fast
+# subsystem as source, and the forcing (Ca, Na) -> (a_can, i_pump) likewise.
+# Each source defines make(p), which binds the parameters as closure locals,
+# the fastest lookup in CPython, and returns the function. The code compiles
+# once per source and form (_maker); parameters bind per call of make, so a
+# new parameter set costs a closure, not a compile. The forms: tuples of
+# floats, with sig inline as _SIG and math.cosh; numpy arrays, with sig
+# inline as _SIG_ARRAY and np.cosh, so the lane core makes no Python call
+# per gate; complex numbers for the Jacobian, with sig inline as
+# _SIG_COMPLEX and cmath.cosh. Each gate's argument is computed once, for its
+# sigmoid and its cosh alike. The slaving sources divide by the slopes where
+# the balances multiply by their inverses; the curves rest on those bits.
 # _driven_solver inlines the function bodies, and the path's closed form
 # (paths.py), into the stages of integrate's loop. The operation order in
 # these sources fixes driven and autonomous runs to the last digit;
@@ -244,10 +197,44 @@ def make(p):
     return core
 """
 
+_SLAVED2 = """
+def make(p):
+    th_n, sigma_n = p.theta_n, p.sigma_n
+
+    def slaved(v):
+        # v -> the gate-slaved state (v, n) of the reduced fast subsystem
+        n = sig((v - th_n) / sigma_n)
+        return v, n
+
+    return slaved
+"""
+
+_SLAVED5 = """
+def make(p):
+    th_n, sigma_n = p.theta_n, p.sigma_n
+    th_m, sigma_m = p.theta_m, p.sigma_m
+    th_h, sigma_h = p.theta_h, p.sigma_h
+    th_s, sigma_s, k = p.theta_s, p.sigma_s, p.k
+
+    def slaved(v):
+        # v -> the gate-slaved state (v, n, m, h, s), s at the fixed point
+        # s_inf/(s_inf + k) of its equation
+        n = sig((v - th_n) / sigma_n)
+        m = sig((v - th_m) / sigma_m)
+        h = sig((v - th_h) / sigma_h)
+        si = sig((v - th_s) / sigma_s)
+        return v, n, m, h, si / (si + k)
+
+    return slaved
+"""
+
 _SLOW_CURRENTS = """
 def make(p):
     g_can, k_can, inv_scan = p.g_can, p.k_can, 1.0 / p.sigma_can
-    r_pump, kna3, phi_b = p.r_pump, p.k_na ** 3, phi(p.na_b, p.k_na)
+    na_b, k_na = p.na_b, p.k_na
+    r_pump, kna3 = p.r_pump, k_na ** 3
+    # the pump's saturation Na^3/(Na^3 + k_Na^3) at the baseline Na_b
+    phi_b = na_b * na_b * na_b / (na_b * na_b * na_b + k_na * k_na * k_na)
 
     def slow_currents(ca, na):
         # (Ca, Na) -> (a_can, i_pump): the CAN conductance g_CAN x_CAN(Ca)
@@ -372,6 +359,9 @@ class _FastSubsystem:
         self._array_core = _maker(self._balance, "array")(params)
         self._complex_core = _maker(self._balance, "complex")(params)
         self._slow_currents = _maker(_SLOW_CURRENTS, "tuple")(params)
+        # the gate-slaved state of a voltage, and of a voltage array
+        self.slaved = _maker(self._slaving, "tuple")(params)
+        self._slaved_array = _maker(self._slaving, "array")(params)
 
     def __reduce__(self):
         # the cores are closures, which do not pickle: rebuild from params
@@ -468,6 +458,7 @@ class ReducedFast(_FastSubsystem):
     dim = 2
     name = "reduced"
     _balance = _FAST2
+    _slaving = _SLAVED2
 
     def frozen_rhs(self, slow):
         core = self._core
@@ -478,14 +469,6 @@ class ReducedFast(_FastSubsystem):
             return core(v, n, a_can, i_pump)
 
         return rhs
-
-    def slaved(self, v: float):
-        p = self.params
-        return (v, gate_inf(v, p.theta_n, p.sigma_n))
-
-    def _slaved_array(self, vs):
-        p = self.params
-        return vs, _sig_array((vs - p.theta_n) / p.sigma_n)
 
     def autonomous_rhs(self):
         """State (v, n, Ca, Na); the Ca equation sees the slaved s."""
@@ -511,6 +494,7 @@ class FullFast(_FastSubsystem):
     dim = 5
     name = "full"
     _balance = _FAST5
+    _slaving = _SLAVED5
 
     def frozen_rhs(self, slow):
         core = self._core
@@ -521,21 +505,6 @@ class FullFast(_FastSubsystem):
             return core(v, n, m, h, s, a_can, i_pump)
 
         return rhs
-
-    def slaved(self, v: float):
-        p = self.params
-        return (v,
-                gate_inf(v, p.theta_n, p.sigma_n),
-                gate_inf(v, p.theta_m, p.sigma_m),
-                gate_inf(v, p.theta_h, p.sigma_h),
-                s_slaved(v, p))
-
-    def _slaved_array(self, vs):
-        p = self.params
-        n, m, h, si = (_sig_array((vs - theta) / sigma) for theta, sigma in (
-            (p.theta_n, p.sigma_n), (p.theta_m, p.sigma_m),
-            (p.theta_h, p.sigma_h), (p.theta_s, p.sigma_s)))
-        return vs, n, m, h, si / (si + p.k)
 
     def autonomous_rhs(self):
         """State (v, n, m, h, s, Ca, Na)."""

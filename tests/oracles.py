@@ -57,6 +57,16 @@ def s_slaved(v: float, p: ModelParams) -> float:
     return si / (si + p.k)
 
 
+def slaved_state(v: float, p: ModelParams, dim: int):
+    """The gate-slaved state at v: (v, n) of the reduced fast subsystem
+    (dim 2), (v, n, m, h, s) of the full one (dim 5)."""
+    n = gate_inf(v, p.theta_n, p.sigma_n)
+    if dim == 2:
+        return (v, n)
+    return (v, n, gate_inf(v, p.theta_m, p.sigma_m),
+            gate_inf(v, p.theta_h, p.sigma_h), s_slaved(v, p))
+
+
 @dataclass(frozen=True)
 class Currents:
     """Membrane currents (pA) at a given state and slow point."""

@@ -50,10 +50,19 @@ def test_simulate_unknown_key_is_usage_error(tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
-def test_simulate_missing_model_is_usage_error(tmp_path):
+def test_simulate_missing_model_is_usage_error(tmp_path, capsys):
     rc = cli.main(["simulate", "--t_span", "0:10",
                    "--out", str(tmp_path / "t.csv")])
     assert rc == cli.EXIT_USAGE
+    # features checks the model the same way, missing or unknown
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = bogus\n")
+    for command in ("simulate", "features"):
+        for config in ([], ["--config", str(cfg)]):
+            capsys.readouterr()
+            rc = cli.main([command, *config, "--out", str(tmp_path / "o.csv")])
+            assert rc == cli.EXIT_USAGE
+            assert "model must be set to one of full7d" in capsys.readouterr().err
 
 
 def test_simulate_deterministic_csv(tmp_path):

@@ -8,17 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (currents, fd_jacobian, gate_tau_dv, jac_fast4,
-                     oracle_jacobian, reduced_fast_state, rhs_fast4,
-                     rhs_fast7, rhs_slow7)
+from oracles import (currents, fd_jacobian, gate_tau, gate_tau_dv,
+                     jac_fast4, oracle_jacobian, reduced_fast_state,
+                     rhs_fast4, rhs_fast7, rhs_slow7, slaved_state)
 
 import burstlab
-from burstlab import FULL7D, REDUCED4D, EllipsePath, InvalidParameterError
+from burstlab import FULL7D, REDUCED4D, EllipsePath
 from burstlab.bifurcation import DEFAULT_CA_WINDOW, DEFAULT_NA_RANGE
 from burstlab.integrate import integrate, solve_source
 from burstlab import model
-from burstlab.model import (FullFast, ReducedFast, can_activation,
-                            can_calcium, gate_inf, gate_tau, phi, s_slaved)
+from burstlab.model import FullFast, ReducedFast, can_calcium
 
 
 def _sig_reference(x):
@@ -56,29 +55,49 @@ def test_inline_sigmoid_is_sig_bit_for_bit(x):
     assert _bits(two) == _bits(ref(ref(x) - x) + ref(-x))
 
 
+def test_complex_sigmoid_is_guarded_and_exact():
+    # the complex form's inline sig is guarded on the real part, and its
+    # complex step is the logistic's derivative -sig(x)(1 - sig(x))
+    f = model._compile("def f(x):\n    return sig(x)\n", "complex", "f")
+    assert "sig" not in f.__code__.co_names
+    for x in (-745.0, -700.5, 700.5, 745.0):
+        assert f(complex(x, 1e-30)) == _sig_reference(x)
+    for x in np.linspace(-30.0, 30.0, 61):
+        z, s = f(complex(x, 1e-30)), _sig_reference(x)
+        assert z.real == pytest.approx(s, rel=1e-15)
+        assert z.imag / 1e-30 == pytest.approx(-s * (1.0 - s), rel=1e-12)
+
+
+# The gate functions stand inline in the compiled sources: the steady
+# states are read off the slaved state, the time constant off the n
+# equation of the balance. In FULL7D the n gate has theta -30, sigma -5 and
+# t 30, the h gate theta -30 and sigma 5.
+_FULL = FullFast(FULL7D)
+
+
+def _n_tau(v):
+    # the time constant of n at v: (n_inf - n)/n' at n = 0
+    return _FULL.slaved(v)[1] / _FULL.rhs((v, 0.0, 0.0, 0.0, 0.0),
+                                          (0.0, FULL7D.na_b))[1]
+
+
 def test_gate_inf_midpoint():
-    assert gate_inf(-30.0, -30.0, -5.0) == pytest.approx(0.5)
-    assert gate_inf(-30.0, -30.0, 5.0) == pytest.approx(0.5)
+    assert _FULL.slaved(-30.0)[1] == pytest.approx(0.5)
+    assert _FULL.slaved(-30.0)[3] == pytest.approx(0.5)
 
 
 def test_gate_inf_scalar_value():
     # logistic one slope-unit above the half-activation
-    assert gate_inf(-25.0, -30.0, -5.0) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)),
-                                                         abs=1e-12)
-    assert gate_inf(-25.0, -30.0, -5.0) == pytest.approx(0.731059, abs=1e-6)
+    assert _FULL.slaved(-25.0)[1] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)),
+                                                   abs=1e-12)
+    assert _FULL.slaved(-25.0)[1] == pytest.approx(0.731059, abs=1e-6)
 
 
-def test_gate_inf_rejects_zero_slope():
-    with pytest.raises(InvalidParameterError):
-        gate_inf(-30.0, -30.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        gate_tau(-30.0, 30.0, -30.0, 0.0)
-
-
+@settings(deadline=None)
 @given(st.floats(-90, 30), st.floats(-60, 20),
        st.floats(0.5, 12) | st.floats(-12, -0.5))
 def test_gate_inf_in_unit_interval(v, theta, sigma):
-    x = gate_inf(v, theta, sigma)
+    x = FullFast(FULL7D.override(theta_n=theta, sigma_n=sigma)).slaved(v)[1]
     assert 0.0 <= x <= 1.0
     if abs((v - theta) / sigma) < 30:   # strict until float saturation
         assert 0.0 < x < 1.0
@@ -86,23 +105,34 @@ def test_gate_inf_in_unit_interval(v, theta, sigma):
 
 @given(st.floats(-80, 10), st.floats(0.5, 10))
 def test_gate_inf_monotone_direction(v, dv):
-    # increasing for negative slope, decreasing for positive slope
-    assert gate_inf(v + dv, -30.0, -5.0) > gate_inf(v, -30.0, -5.0)
-    assert gate_inf(v + dv, -30.0, 5.0) < gate_inf(v, -30.0, 5.0)
+    # increasing for negative slope (n), decreasing for positive slope (h)
+    assert _FULL.slaved(v + dv)[1] > _FULL.slaved(v)[1]
+    assert _FULL.slaved(v + dv)[3] < _FULL.slaved(v)[3]
 
 
 def test_gate_tau_peak_and_value():
-    assert gate_tau(-30.0, 30.0, -30.0, -5.0) == pytest.approx(30.0)
+    assert _n_tau(-30.0) == pytest.approx(30.0)
     # direct scalar evaluation: 30 / cosh(-1) = 19.4416...
-    assert gate_tau(-20.0, 30.0, -30.0, -5.0) == pytest.approx(30.0 / math.cosh(-1.0),
-                                                               abs=1e-10)
-    assert gate_tau(-20.0, 30.0, -30.0, -5.0) == pytest.approx(19.44, abs=5e-3)
+    assert _n_tau(-20.0) == pytest.approx(30.0 / math.cosh(-1.0), abs=1e-10)
+    assert _n_tau(-20.0) == pytest.approx(19.44, abs=5e-3)
 
 
 @given(st.floats(0.1, 30))
 def test_gate_tau_even_about_theta(a):
-    assert gate_tau(-30.0 + a, 30.0, -30.0, -5.0) == pytest.approx(
-        gate_tau(-30.0 - a, 30.0, -30.0, -5.0), rel=1e-12)
+    assert _n_tau(-30.0 + a) == pytest.approx(_n_tau(-30.0 - a), rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_slaved_states_match_oracle(model, request):
+    # the slaving source compiled for tuples against the oracle's gate
+    # functions, and compiled for arrays against the tuples
+    fast = request.getfixturevalue(model)
+    vs = np.linspace(-110.0, 30.0, 14001)
+    slaved = np.array([fast.slaved(float(v)) for v in vs])
+    ref = np.array([slaved_state(float(v), fast.params, fast.dim) for v in vs])
+    np.testing.assert_allclose(slaved, ref, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(np.column_stack(fast._slaved_array(vs)),
+                               slaved, rtol=1e-15, atol=0.0)
 
 
 def test_currents_zero_driving_force():
@@ -119,17 +149,17 @@ def test_pump_zero_at_baseline():
 
 
 def test_phi_half_saturation():
-    assert phi(10.0, 10.0) == pytest.approx(0.5)
+    # i_pump = r_pump (phi(Na) - phi(Na_b)), with the saturation
+    # phi(Na) = Na^3/(Na^3 + k_Na^3) one half at k_Na
+    p = FULL7D
+    phi_b = p.na_b ** 3 / (p.na_b ** 3 + p.k_na ** 3)
+    i_pump = _FULL._slow_currents(0.0, p.k_na)[1]
+    assert i_pump == pytest.approx(p.r_pump * (0.5 - phi_b))
 
 
 def test_relaxation_fixed_points():
     p = FULL7D
-    v = -42.0
-    state = (v,
-             gate_inf(v, p.theta_n, p.sigma_n),
-             gate_inf(v, p.theta_m, p.sigma_m),
-             gate_inf(v, p.theta_h, p.sigma_h),
-             s_slaved(v, p))
+    state = FullFast(p).slaved(-42.0)
     d = FullFast(p).rhs(state, (0.3, 5.2))
     assert d[1] == pytest.approx(0.0, abs=1e-15)
     assert d[2] == pytest.approx(0.0, abs=1e-15)
@@ -243,12 +273,11 @@ def test_every_rhs_form_matches_oracle(model, request):
         if fast.dim == 2:
             ref = rhs_fast4(y, slow, p)
             lifted = reduced_fast_state(y[0], y[1], p)
-            g_ref = rhs_fast4((y[0], gate_inf(y[0], p.theta_n, p.sigma_n)),
-                              slow, p)[0]
+            g_ref = rhs_fast4(slaved_state(y[0], p, 2), slow, p)[0]
         else:
             ref = rhs_fast7(y, slow, p)
             lifted = y
-            g_ref = rhs_fast7(fast.slaved(y[0]), slow, p)[0]
+            g_ref = rhs_fast7(slaved_state(y[0], p, 5), slow, p)[0]
         _assert_close(fast.rhs(y, slow), ref)
         _assert_close(fast.frozen_rhs(slow)(0.0, y), ref)
         drv = driven(0.0, y + slow)
@@ -343,10 +372,11 @@ def test_can_branch_points_are_equilibria(model, request):
             if not 1e-6 < a_v / p.g_can < 1.0 - 1e-6:
                 continue
             slow = (float(can_calcium(a_v, p)), na)
+            state = slaved_state(float(v), p, fast.dim)
             if fast.dim == 2:
-                g = rhs_fast4((v, gate_inf(v, p.theta_n, p.sigma_n)), slow, p)[0]
+                g = rhs_fast4(state, slow, p)[0]
             else:
-                g = rhs_fast7(fast.slaved(v), slow, p)[0]
+                g = rhs_fast7(state, slow, p)[0]
             assert abs(g) < 1e-9, (v, na, g)
             checked += 1
     assert checked > 20
@@ -394,7 +424,9 @@ def test_gate_box_forward_invariance_full_scale(reduced, full):
 
 
 def test_can_activation_switch():
+    # the CAN conductance of the forcing is g_CAN times a calcium gate
     p = REDUCED4D
-    assert can_activation(p.k_can, p) == pytest.approx(0.5)
-    assert can_activation(p.k_can + 0.5, p) > 0.999
-    assert can_activation(p.k_can - 0.5, p) < 0.001
+    slow_currents = ReducedFast(p)._slow_currents
+    assert slow_currents(p.k_can, 5.0)[0] / p.g_can == pytest.approx(0.5)
+    assert slow_currents(p.k_can + 0.5, 5.0)[0] / p.g_can > 0.999
+    assert slow_currents(p.k_can - 0.5, 5.0)[0] / p.g_can < 0.001

@@ -59,6 +59,9 @@ def test_from_text_rejects_duplicates():
 @pytest.mark.parametrize("changes", [
     {"g_l": -1.0}, {"c": 0.0}, {"t_n": 0.0}, {"tau_s": -5.0},
     {"k_na": 0.0}, {"k": -1.0}, {"sigma_n": 0.0},
+    # the gate slopes and time constants are guarded here alone
+    {"sigma_h": 0.0}, {"sigma_m": 0.0}, {"sigma_s": 0.0}, {"sigma_can": 0.0},
+    {"t_h": 0.0}, {"t_m": -1.0},
 ])
 def test_invariants_rejected(changes):
     with pytest.raises(InvalidParameterError):
