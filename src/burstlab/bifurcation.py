@@ -263,7 +263,8 @@ def read_curves(path) -> dict:
 
 
 def _fold_point(fast, na: float) -> Optional[tuple]:
-    """(v, Ca) of the fold at this Na, or None outside DEFAULT_CA_WINDOW.
+    """(Ca, |det J|) of the fold at this Na, or None outside
+    DEFAULT_CA_WINDOW.
 
     The fold is the hyperpolarized local maximum of the equilibrium branch
     a(v): the CAN conductance above which the lower two of the three
@@ -288,12 +289,12 @@ def _fold_point(fast, na: float) -> Optional[tuple]:
                         for ca in DEFAULT_CA_WINDOW)
     if not a_lo <= a_fold <= a_hi:
         return None
-    return v, float(can_calcium(a_fold, fast.params))
+    return float(can_calcium(a_fold, fast.params)), abs(float(det(v)))
 
 
 def _hopf_point(fast, na: float) -> Optional[tuple]:
-    """(v, Ca) of the Hopf point at this Na, or None if there is none in
-    DEFAULT_CA_WINDOW.
+    """(Ca, |Re|) of the Hopf point at this Na, with Re that of the complex
+    pair, or None if there is none in DEFAULT_CA_WINDOW.
 
     The depolarized equilibria over the window form one branch of a(v),
     between the depolarized equilibria at the window's two ends, along
@@ -319,11 +320,13 @@ def _hopf_point(fast, na: float) -> Optional[tuple]:
     if not len(flips):
         return None
     v = brentq(pair_real, vs[flips[0]], vs[flips[0] + 1], xtol=_V_TOL)
-    return v, float(can_calcium(fast.can_branch(v, na), fast.params))
+    return (float(can_calcium(fast.can_branch(v, na), fast.params)),
+            abs(pair_real(v)))
 
 
 def _trace(kind: str, locate, fast, na_range, step: float) -> BifCurve:
-    """Locate a curve point at each node of the Na grid, independently.
+    """Locate a curve point, (Ca, residual), at each node of the Na grid,
+    independently.
 
     Nodes without a point before the first one found are skipped and flag
     the curve truncated_low; the first such node after it ends the curve.
@@ -341,14 +344,7 @@ def _trace(kind: str, locate, fast, na_range, step: float) -> BifCurve:
                 break
             truncated_low = True
             continue
-        v, ca = point
-        state, slow = fast.slaved(v), (ca, na)
-        if kind == "SNIC":
-            res = abs(float(np.linalg.det(np.array(fast.jacobian(state, slow)))))
-        else:
-            r = _pair_real(eigen(fast, state, slow))
-            res = math.nan if r is None else abs(r)
-        pts.append((na, ca, res))
+        pts.append((na, *point))
     if not pts:
         raise ContinuationError(f"no {kind} point found anywhere in the window")
     return BifCurve(kind=kind,

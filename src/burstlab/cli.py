@@ -18,7 +18,8 @@ from .config import (UsageError, check_keys, get_float, get_int, get_span,
                      load_config)
 from .features import (AUTONOMOUS_SLOW0, DEFAULT_WEIGHTS, START_V,
                        ClassificationError, FeatureVector, burst_features,
-                       run_autonomous, run_driven, segment_stages)
+                       driven_trajectory, run_autonomous, run_driven,
+                       segment_stages)
 from .fit import PATH_PARAMS, FitProblem, fit_path
 from .integrate import StepSizeError, integrate
 from .landscape import PERIOD, RE_LAMBDA, GridSpec, build_field, extract_contours
@@ -195,13 +196,12 @@ def cmd_simulate(args) -> int:
     rel_tol, abs_tol = _tols(cfg)
     t_span = get_span(cfg, "sim.t_span")
     if model.startswith("driven"):
-        path = _path_from(cfg)
-        rhs = fast.driven_rhs(path)
-        y0 = fast.slaved(START_V) + (path.ca0, path.na0)
+        traj = driven_trajectory(fast, _path_from(cfg), fast.slaved(START_V),
+                                 t_span, rel_tol=rel_tol, abs_tol=abs_tol)
     else:
-        rhs = fast.autonomous_rhs()
-        y0 = fast.slaved(START_V) + AUTONOMOUS_SLOW0
-    traj = integrate(rhs, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
+        traj = integrate(fast.autonomous_rhs(),
+                         fast.slaved(START_V) + AUTONOMOUS_SLOW0, t_span,
+                         rel_tol=rel_tol, abs_tol=abs_tol)
     out = cfg.get("out.trajectory", args.out)
     traj.to_csv(out, columns=figures._state_columns(model))
     print(f"wrote {out} ({len(traj.ts)} samples)")

@@ -35,6 +35,8 @@ SPIKE_REFRACTORY = 2.0      # subthreshold oscillation above this level
 ENVELOPE_MARGIN = 5.0       # mV; the (iii)/(iv) split, see segment_stages
 START_V = -60.0             # mV; v of a start state with slaved gates
 AUTONOMOUS_SLOW0 = (0.1, 5.0)   # (Ca, Na) an autonomous run starts from
+AUTONOMOUS_TRANSIENT = 2000.0   # ms of warm-up of an autonomous run
+AUTONOMOUS_BUDGET = 8000.0      # ms recorded after it
 DEBOUNCE_DEPTH = 0.14       # of the SNIC-AH separation, see run_autonomous
 _LABELS = ("SNIC", "AH")
 
@@ -194,25 +196,32 @@ def cycle_window(path: EllipsePath, snic: BifCurve,
         crossings=tuple(c for c in crossings if _in_window(c[0], t1, t2)))
 
 
+def driven_trajectory(fast, path: EllipsePath, y0, t_span,
+                      rel_tol: float = 1e-8,
+                      abs_tol: float = 1e-8) -> Trajectory:
+    """The fast state integrated from y0 over t_span by the driven loop
+    fast.path_rhs(path), which has the path's closed form inlined, with the
+    path's (Ca, Na) appended as the last two columns."""
+    fast_traj = integrate(fast.path_rhs(path), y0, t_span, rel_tol=rel_tol,
+                          abs_tol=abs_tol)
+    point = path.closed_form("array")
+    return append_closed_form(fast_traj, point, lambda t: path.rhs(point(t)))
+
+
 def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
                rel_tol: float = 1e-8, abs_tol: float = 1e-8) -> BurstTrace:
     """Simulate the driven system over its cycle window and annotate it.
 
     The slow pair follows the path in closed form, so the window and its
     SNIC and AH crossings come from cycle_window, before any integration.
-    One integration of the fast variables alone, from the rest state at
-    the path's initial point, runs to the window end, stepped by the driven
-    loop fast.path_rhs(path).solve, which has the path's closed form
-    inlined; the path's (Ca, Na) is then appended as the last two columns
-    of the trajectory. Any path runs, DB or not.
+    One driven_trajectory, from the rest state at the path's initial point,
+    runs to the window end. Any path runs, DB or not.
     """
     window = cycle_window(path, snic, ah)
     t1, t2 = window.t_start, window.t_end
-    fast_traj = integrate(fast.path_rhs(path),
-                          _rest_state(fast, (path.ca0, path.na0)), (0.0, t2),
-                          rel_tol=rel_tol, abs_tol=abs_tol)
-    point = path.closed_form("array")
-    traj = append_closed_form(fast_traj, point, lambda t: path.rhs(point(t)))
+    traj = driven_trajectory(fast, path,
+                             _rest_state(fast, (path.ca0, path.na0)),
+                             (0.0, t2), rel_tol=rel_tol, abs_tol=abs_tol)
     events = tuple(
         EventRecord(index=index, t=te, y=tuple(traj.sample(te).tolist()),
                     direction=direction, label=_LABELS[index])
@@ -224,36 +233,31 @@ def run_driven(fast, path: EllipsePath, snic: BifCurve, ah: BifCurve,
         start_fallback=window.fallback)
 
 
-def _autonomous_run(fast, snic, ah, t_transient, t_budget, rel_tol, abs_tol):
-    """The autonomous model past a warm-up of t_transient ms, with every curve
-    crossing of the next t_budget ms: (Trajectory, events). The run starts
-    from the gates slaved at START_V and (Ca, Na) = AUTONOMOUS_SLOW0."""
-    rhs = fast.autonomous_rhs()
-    warm = integrate(rhs, fast.slaved(START_V) + AUTONOMOUS_SLOW0,
-                     (0.0, t_transient), rel_tol=rel_tol, abs_tol=abs_tol)
-    fns, labels = crossing_events(snic, ah)
-    return detect_events(rhs, tuple(warm.ys[-1]),
-                         (t_transient, t_transient + t_budget), fns,
-                         rel_tol=rel_tol, abs_tol=abs_tol, labels=labels)
-
-
 def run_autonomous(fast, snic: BifCurve, ah: BifCurve,
-                   t_transient: float = 2000.0, t_budget: float = 8000.0,
                    rel_tol: float = 1e-8, abs_tol: float = 1e-8) -> BurstTrace:
     """Simulate the autonomous model from (Ca, Na) = AUTONOMOUS_SLOW0, gates
     slaved at START_V, and cut out one full burst cycle.
 
-    The biological slow variables wobble with every spike, so the orbit can
-    dance back and forth across a curve near a genuine crossing. Crossing
-    pairs whose excursion beyond the curve stays shallower than
-    DEBOUNCE_DEPTH times the local SNIC-AH separation are cancelled before
-    the cycle is selected; genuine stage dwells reach beyond that in both
-    models while spike wobbles stay under a tenth of the separation. The
-    window then runs between two consecutive surviving upward SNIC
-    crossings and the measured recurrence time is the burst period.
+    The run records every curve crossing of the AUTONOMOUS_BUDGET ms that
+    follow a warm-up of AUTONOMOUS_TRANSIENT ms. The biological slow
+    variables wobble with every spike, so the orbit can dance back and
+    forth across a curve near a genuine crossing. Crossing pairs whose
+    excursion beyond the curve stays shallower than DEBOUNCE_DEPTH times
+    the local SNIC-AH separation are cancelled before the cycle is
+    selected; genuine stage dwells reach beyond that in both models while
+    spike wobbles stay under a tenth of the separation. The window then
+    runs between two consecutive surviving upward SNIC crossings and the
+    measured recurrence time is the burst period.
     """
-    traj, events = _autonomous_run(fast, snic, ah, t_transient, t_budget,
-                                   rel_tol, abs_tol)
+    rhs = fast.autonomous_rhs()
+    warm = integrate(rhs, fast.slaved(START_V) + AUTONOMOUS_SLOW0,
+                     (0.0, AUTONOMOUS_TRANSIENT), rel_tol=rel_tol,
+                     abs_tol=abs_tol)
+    fns, labels = crossing_events(snic, ah)
+    traj, events = detect_events(
+        rhs, tuple(warm.ys[-1]),
+        (AUTONOMOUS_TRANSIENT, AUTONOMOUS_TRANSIENT + AUTONOMOUS_BUDGET), fns,
+        rel_tol=rel_tol, abs_tol=abs_tol, labels=labels)
     events = _debounce_events(events, traj, snic, ah)
     snic_ups = [e.t for e in events if e.label == "SNIC" and e.direction > 0]
     if len(snic_ups) < 2:
@@ -269,29 +273,25 @@ def run_autonomous(fast, snic: BifCurve, ah: BifCurve,
 
 
 def _debounce_events(events, traj, snic, ah):
-    """Drop adjacent same-curve crossing pairs with shallow excursions."""
+    """Drop adjacent same-curve crossing pairs with shallow excursions, in
+    one pass: a pair cancels as soon as it forms, and the events on either
+    side of it then meet."""
     curves = {"SNIC": snic, "AH": ah}
-    evs = list(events)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(evs) - 1):
-            a, b = evs[i], evs[i + 1]
-            if a.label != b.label or a.direction + b.direction != 0:
-                continue
+    kept = []
+    for b in events:
+        a = kept[-1] if kept else b     # an event never pairs with itself
+        if a.label == b.label and a.direction + b.direction == 0:
             curve = curves[a.label]
-            ts = np.linspace(a.t, b.t, 64)
-            ys = traj.sample(ts)
+            ys = traj.sample(np.linspace(a.t, b.t, 64))
             depth = max(abs(curve.horizontal_offset(ca, na))
                         for ca, na in zip(ys[:, -2], ys[:, -1]))
             mid_na = 0.5 * (a.y[-1] + b.y[-1])
             sep = ah.ca_at(mid_na) - snic.ca_at(mid_na)
             if depth < DEBOUNCE_DEPTH * abs(sep):
-                del evs[i + 1]
-                del evs[i]
-                changed = True
-                break
-    return evs
+                kept.pop()
+                continue
+        kept.append(b)
+    return kept
 
 
 _DB_SEQUENCE = (("SNIC", 1), ("AH", 1), ("AH", -1), ("SNIC", -1))

@@ -17,8 +17,7 @@ import numpy as np
 from . import svg
 from .bifurcation import trace_fold_curve, trace_hopf_curve, write_curves
 from .features import (BurstTrace, ClassificationError, FeatureVector,
-                       _autonomous_run, _spikes_in_window, burst_features,
-                       run_autonomous, run_driven)
+                       burst_features, run_autonomous, run_driven)
 from .landscape import (PERIOD, RE_LAMBDA, GridSpec, build_field,
                         extract_contours)
 from .model import FullFast, ReducedFast
@@ -40,9 +39,6 @@ class FigurePreset:
 def _paths(ca_c, na_c, ca0, eps, ds):
     return tuple(EllipsePath.centered(ca_c, na_c, d, ca0, eps) for d in ds)
 
-
-AUTONOMOUS_TRANSIENT = 3000.0   # ms of warm-up of fig1 and fig2
-AUTONOMOUS_BUDGET = 9000.0      # ms recorded after it
 
 FIG6_WINDOW = GridSpec(-0.1, 0.45, 4.8, 5.8, 121, 121)
 FIG7_WINDOW = GridSpec(0.0, 0.5, 4.8, 6.4, 121, 121)
@@ -126,14 +122,8 @@ def run_figure(name: str, outdir, rel_tol: float = 1e-8,
                             abs_tol=abs_tol)
             traces.append((label, tr))
     else:
-        try:
-            tr = run_autonomous(fast, snic, ah, AUTONOMOUS_TRANSIENT,
-                                AUTONOMOUS_BUDGET, rel_tol, abs_tol)
-        except ClassificationError:
-            # no clean cycle (e.g. the reduced model dances across AH);
-            # fall back to a raw window so the artifacts still get written
-            tr = _autonomous_raw(fast, snic, ah, rel_tol, abs_tol)
-        traces.append((preset.model, tr))
+        traces.append((preset.model,
+                       run_autonomous(fast, snic, ah, rel_tol, abs_tol)))
 
     contours = None
     if preset.field_kind is not None:
@@ -171,15 +161,6 @@ def _state_columns(model: str):
     if model in ("reduced4d", "driven4d"):
         return ["v", "n", "Ca", "Na"]
     return ["v", "n", "m", "h", "s", "Ca", "Na"]
-
-
-def _autonomous_raw(fast, snic, ah, rel_tol, abs_tol):
-    traj, events = _autonomous_run(fast, snic, ah, AUTONOMOUS_TRANSIENT,
-                                   AUTONOMOUS_BUDGET, rel_tol, abs_tol)
-    return BurstTrace(trajectory=traj, t_start=traj.t0, t_end=traj.t1,
-                      period=traj.t1 - traj.t0, events=tuple(events),
-                      spikes=_spikes_in_window(traj, traj.t0, traj.t1),
-                      model=f"autonomous-{fast.name}")
 
 
 def _overlay_canvas(preset, snic, ah, traces, contours):

@@ -331,7 +331,9 @@ def step_source(dim):
 # that min(h, max_step, t1 - t), max(min_factor, q) and min(max_factor, q)
 # pick: the first of equal values, and min_factor where q is not a number.
 # So, as np.fmax in step_lanes, a NaN err is ignored, and a step whose rhs
-# is not a number shrinks until it underflows.
+# is not a number shrinks until it underflows. An attempt whose arithmetic
+# overflows (math's exp and cosh raise where numpy gives inf) is rejected
+# like one with a huge error, so a wild trial stage only shrinks the step.
 _SOLVE = """\
 def solve(rhs, t, t1, y, f, h, h_min, max_steps, rel_tol, abs_tol):
     {y} = y
@@ -346,7 +348,10 @@ def solve(rhs, t, t1, y, f, h, h_min, max_steps, rel_tol, abs_tol):
         if h < h_min:
             raise StepSizeError(f"step size underflow at t = {{t:.6g}} ms", t)
         while True:
+            try:
 {attempt}
+            except OverflowError:
+                err = 1e300
             if err <= 1.0:
                 break
             rejected += 1
@@ -389,7 +394,7 @@ def solve_source(dim, stage=_rhs_stage):
     return _SOLVE.format(
         y=_names("y{i}", dim), k0=_names("k0_{i}", dim),
         z=_names("z{i}", dim), k=_names("k{s}_{i}", dim, range(7)),
-        attempt=_indented(_attempt(dim, stage, _LARGER_FLOAT), 3),
+        attempt=_indented(_attempt(dim, stage, _LARGER_FLOAT), 4),
         handover=_indented([f"y{i} = z{i}" for i in range(dim)]
                            + [f"k0_{i} = k6_{i}" for i in range(dim)], 2),
         max_step=MAX_STEP, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR,

@@ -124,29 +124,6 @@ class ScalarField:
         with open(path, "w") as fh:
             self.write_csv(fh)
 
-    @classmethod
-    def from_csv(cls, path, kind: str = "") -> "ScalarField":
-        cas, nas, vals = [], [], []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "Ca,Na,value":
-                raise ValueError(f"unexpected field CSV header: {header!r}")
-            for line in fh:
-                ca, na, v = line.rstrip("\n").split(",")
-                cas.append(float(ca))
-                nas.append(float(na))
-                vals.append(float(v) if v else math.nan)
-        ca_ax = np.unique(cas)
-        na_ax = np.unique(nas)
-        grid = GridSpec(ca_ax[0], ca_ax[-1], na_ax[0], na_ax[-1],
-                        len(ca_ax), len(na_ax))
-        values = np.full((len(ca_ax), len(na_ax)), math.nan)
-        for ca, na, v in zip(cas, nas, vals):
-            i = int(np.searchsorted(ca_ax, ca))
-            j = int(np.searchsorted(na_ax, na))
-            values[i, j] = v
-        return cls(grid=grid, values=values, kind=kind)
-
 
 def orbit_period(fast, slow, *,
                  t_measure: float = T_MEASURE) -> Optional[float]:
@@ -244,7 +221,6 @@ def _period_lanes(fast, slows):
     t_end = np.full(n, T_TRANSIENT)
     measuring = np.zeros(n, dtype=bool)
     live = np.ones(n, dtype=bool)
-    g_prev = np.zeros(n)
     n_steps = np.zeros(n, dtype=int)    # accepted steps in the window
     top = np.zeros(n)
     bot = np.zeros(n)
@@ -287,7 +263,7 @@ def _period_lanes(fast, slows):
             # upward crossings and running extremes on measuring lanes
             v = y_new[0]
             m = acc & measuring
-            up = m & (g_prev < 0.0) & (v - SPIKE_THRESHOLD >= 0.0)
+            up = m & (y[0] < SPIKE_THRESHOLD) & (v >= SPIKE_THRESHOLD)
             if up.any():
                 loc = np.flatnonzero(up)
                 pts = ids[loc]
@@ -300,7 +276,6 @@ def _period_lanes(fast, slows):
                 amp_first[pts[first]] = amp[first]
                 top[loc] = SPIKE_THRESHOLD
                 bot[loc] = SPIKE_THRESHOLD
-            g_prev = np.where(m, v - SPIKE_THRESHOLD, g_prev)
             top = np.where(m, np.maximum(top, v), top)
             bot = np.where(m, np.minimum(bot, v), bot)
             t = np.where(acc, t + h_used, t)
@@ -316,7 +291,6 @@ def _period_lanes(fast, slows):
                         tuple(c[sel] for c in y), tuple(c[sel] for c in f),
                         REL_TOL, ABS_TOL, LANES)
                     t_end[sel] += T_MEASURE
-                    g_prev[sel] = y[0][sel] - SPIKE_THRESHOLD
                     n_ups[ids[sel]] = 0
                 sel = loc[measuring[loc]]
                 if sel.size:
@@ -337,7 +311,7 @@ def _period_lanes(fast, slows):
                 keep = live
                 ids = ids[keep]
                 t, h, t_end, measuring = t[keep], h[keep], t_end[keep], measuring[keep]
-                g_prev, top, bot = g_prev[keep], top[keep], bot[keep]
+                top, bot = top[keep], bot[keep]
                 n_steps = n_steps[keep]
                 y = tuple(c[keep] for c in y)
                 f = tuple(c[keep] for c in f)

@@ -8,7 +8,7 @@ import pytest
 from burstlab import cli
 from burstlab.bifurcation import read_curves, write_curves
 from burstlab.config import UsageError, check_keys, get_span, parse_config
-from burstlab.features import FeatureVector
+from burstlab.features import START_V, FeatureVector, driven_trajectory
 
 
 def test_parse_config_basics():
@@ -76,6 +76,20 @@ def test_simulate_deterministic_csv(tmp_path):
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     assert b1 == b2
     assert b1.splitlines()[0] == b"t,v,n,Ca,Na"
+
+
+def test_simulate_driven_is_the_driven_trajectory(tmp_path, reduced,
+                                                  fig4_d1_path):
+    # simulate steps a driven model by the driven loop, as run_driven does
+    out, ref = tmp_path / "sim.csv", tmp_path / "ref.csv"
+    assert cli.main(["simulate", "--model", "driven4d", "--ca_c", "0.15",
+                     "--na_c", "5.85", "--d", "1", "--ca0", "0",
+                     "--eps", "0.004", "--t_span", "0:120",
+                     "--out", str(out)]) == 0
+    traj = driven_trajectory(reduced, fig4_d1_path, reduced.slaved(START_V),
+                             (0.0, 120.0))
+    traj.to_csv(ref, columns=["v", "n", "Ca", "Na"])
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_bifcurves_and_features_pipeline(tmp_path, curves2):

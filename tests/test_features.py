@@ -16,7 +16,7 @@ from burstlab.features import (SPIKE_REFRACTORY, SPIKE_THRESHOLD,
                                _spikes_in_window, burst_features,
                                crossing_events, feature_distance,
                                min_oscillation_amplitude, path_crossings,
-                               run_driven, segment_stages)
+                               run_autonomous, run_driven, segment_stages)
 from burstlab.figures import PRESETS
 from burstlab.integrate import detect_events, integrate
 
@@ -206,6 +206,17 @@ def test_spike_count_stable_under_tolerance_halving(reduced, curves2,
     finer = run_driven(reduced, fig4_d1_path, snic, ah,
                        rel_tol=5e-9, abs_tol=5e-9)
     assert len(finer.spikes) == len(fig4_d1_trace.spikes)
+
+
+def test_loose_tolerance_runs_finish_db(reduced, full, curves2, curves5,
+                                       fig4_d1_path):
+    # math's cosh overflows in trial stages of attempts that are then
+    # rejected; the step shrinks and the run goes on
+    runs = [run_driven(reduced, fig4_d1_path, *curves2,
+                       rel_tol=1e-3, abs_tol=1e-3),
+            run_autonomous(full, *curves5, rel_tol=1e-3, abs_tol=1e-3)]
+    for trace in runs:
+        assert trace.sequence_str() == "SNIC+,AH+,AH-,SNIC-"
 
 
 def test_min_oscillation_amplitude_monotone_segment(fig4_d1_trace):

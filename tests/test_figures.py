@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from burstlab import svg
-from burstlab.features import FeatureVector
+from burstlab.features import FeatureVector, burst_features, run_autonomous
 from burstlab.figures import PRESETS, model_for, run_figure
 from burstlab.svg import MARGIN, SvgCanvas
 
@@ -88,6 +88,14 @@ def test_overlay_draws_contours_then_curves_then_paths(tmp_path, curves2,
     assert len(curves) == len({lines[i] for i in curves}) == 2
     assert max(contours) < min(curves)
     assert max(curves) < min(paths) < min(marks)
+
+
+def test_fig1_features_are_the_autonomous_cycle(tmp_path, full, curves5):
+    # fig1 runs run_autonomous as it stands: no warm-up of its own
+    run_figure("fig1", tmp_path, curves=curves5)
+    row = burst_features(run_autonomous(full, *curves5)).row()
+    lines = (tmp_path / "fig1_features.csv").read_text().splitlines()
+    assert lines[1] == f"full7d,{row}"
 
 
 def test_run_figure_rejects_unknown(tmp_path):

@@ -303,18 +303,31 @@ def test_build_field_relambda_small(reduced, curves2):
                 assert np.sign(field.values[i, j]) == -np.sign(off)
 
 
-def test_field_csv_round_trip(tmp_path, reduced):
+def test_field_csv_round_trip(tmp_path):
+    # Ca-major rows, 17 significant digits and an empty value for NaN, so
+    # every defined value reads back exactly
     grid = GridSpec(0.0, 0.2, 5.0, 5.2, 3, 4)
-    vals = np.arange(12, dtype=float).reshape(3, 4)
+    vals = np.arange(12, dtype=float).reshape(3, 4) / 3.0
     vals[1, 2] = math.nan
-    field = ScalarField(grid=grid, values=vals, kind=PERIOD)
     out = tmp_path / "field.csv"
-    field.to_csv(out)
-    back = ScalarField.from_csv(out, kind=PERIOD)
-    assert back.grid == grid
-    assert np.array_equal(np.isnan(back.values), np.isnan(vals))
-    mask = ~np.isnan(vals)
-    assert np.array_equal(back.values[mask], vals[mask])
+    ScalarField(grid=grid, values=vals, kind=PERIOD).to_csv(out)
+    assert out.read_text() == (
+        "Ca,Na,value\n"
+        "0,5,0\n"
+        "0,5.0666666666666664,0.33333333333333331\n"
+        "0,5.1333333333333337,0.66666666666666663\n"
+        "0,5.2000000000000002,1\n"
+        "0.10000000000000001,5,1.3333333333333333\n"
+        "0.10000000000000001,5.0666666666666664,1.6666666666666667\n"
+        "0.10000000000000001,5.1333333333333337,\n"
+        "0.10000000000000001,5.2000000000000002,2.3333333333333335\n"
+        "0.20000000000000001,5,2.6666666666666665\n"
+        "0.20000000000000001,5.0666666666666664,3\n"
+        "0.20000000000000001,5.1333333333333337,3.3333333333333335\n"
+        "0.20000000000000001,5.2000000000000002,3.6666666666666665\n")
+    back = [float(row.split(",")[2] or "nan")
+            for row in out.read_text().splitlines()[1:]]
+    np.testing.assert_array_equal(back, vals.ravel())
 
 
 def test_contours_csv(tmp_path):
